@@ -6,7 +6,8 @@
     okbodies toric-body --input job.json [--svg fig.svg]
     okbodies verify --input job.json [--seed N]
 
-Exit codes: 0 success, 2 empty-system outcomes, 1 errors.  The subcommand
+Exit codes: 0 success, 2 empty-system outcomes, 1 errors (internal
+errors included, reported as "internal error: ..." on stderr).  The subcommand
 must match the job file's kind (and op/flag type where applicable).
 """
 
@@ -137,6 +138,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except OkbodiesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (AssertionError, RuntimeError) as exc:
+        # a failed internal check or a non-terminating loop: a bug, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     out_path = args.output or job.options.get("output")
     doc = json.dumps(result.as_document(), sort_keys=True, indent=2) + "\n"

@@ -50,7 +50,7 @@ class RankOracle:
             lap = graph.laplacian_matrix()
             red = [row[1:] for row in lap[1:]]
             inv_cols = []
-            det = _det_int(red)
+            det = linalg.det_int(red)
             if det == 0:
                 raise AssertionError("reduced Laplacian of a connected graph is invertible")
             self.det = abs(det)
@@ -92,33 +92,6 @@ class RankOracle:
         if degree < 0:
             return False
         return self._key(coeffs[1:]) in self._winnable_keys(degree)
-
-
-def _det_int(matrix) -> int:
-    n = len(matrix)
-    if n == 0:
-        return 1
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        pv = rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    assert det.denominator == 1
-    return int(det)
 
 
 def _compositions(total: int, parts: int):

@@ -7,7 +7,7 @@ the documented 20-significant-digit rule used for SVG coordinates.
 
 from __future__ import annotations
 
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .errors import BadRational
@@ -54,8 +54,7 @@ def rational_str(q: Fraction) -> str:
 
 def to_decimal20(q: Fraction) -> str:
     """Decimal form with 20 significant digits, for SVG coordinates only."""
-    getcontext().prec = 20
-    d = Decimal(q.numerator) / Decimal(q.denominator)
+    d = Context(prec=20).divide(Decimal(q.numerator), Decimal(q.denominator))
     s = format(d, "f")
     if "." in s:
         s = s.rstrip("0").rstrip(".")

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
+from .errors import ConsistencyError
 from .graphs import Divisor, Graph, GraphFunction
 from .linsys import LinearSystemSpec, build_system, member
 from .polyhedra import HPolyhedron, solve_lp
@@ -77,5 +78,6 @@ def random_member(rng: random.Random, spec: LinearSystemSpec,
         if poly.contains(candidate):
             point = candidate
     phi = GraphFunction(spec.graph, point)
-    assert member(spec, phi)
+    if not member(spec, phi):
+        raise ConsistencyError("random walk left the linear system")
     return phi

@@ -9,6 +9,12 @@ substitution before it is returned:
   infeasible -> Farkas vector y >= 0 with y.A = 0 and y.b > 0
   unbounded  -> ray r with A r >= 0 improving the objective
 
+The tableau rows, reduced-cost row included, are integer rows from
+`linalg` (numerators over one positive denominator) and are updated by
+`linalg.pivot`, so the pivot loops do integer arithmetic only: the
+entering test reads the sign of a numerator and the ratio test compares
+by cross-multiplication.  Fractions are built only for the outcome.
+
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
 heuristics.  Intended for dimensions <= 10 and a few hundred constraints.
 """
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch
+from .errors import ConsistencyError, DimensionMismatch
+from .linalg import eliminate, int_rows, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,44 +43,43 @@ class LPOutcome:
     basis: Optional[Tuple[int, ...]] = None
 
 
-def _pivot(tableau, rcost, basis, row, col):
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    prow = tableau[row]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            f = tableau[r][col]
-            tableau[r] = [a - f * b for a, b in zip(tableau[r], prow)]
-    if rcost[col] != 0:
-        f = rcost[col]
-        for j in range(len(rcost)):
-            rcost[j] -= f * prow[j]
-    basis[row] = col
-
-
-def _run_simplex(tableau, rcost, basis, ncols):
-    """Bland pivoting until optimal or unbounded.  Returns entering column
-    on unboundedness, else None."""
+def _run_simplex(rows, dens, basis, ncols):
+    """Bland pivoting until optimal or unbounded.  rows[-1] is the
+    reduced-cost row.  Returns the entering column on unboundedness, else
+    None."""
+    m = len(basis)
+    rcost = rows[m]
     while True:
-        enter = None
-        for j in range(ncols):
-            if rcost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if rcost[j] < 0), None)
         if enter is None:
             return None
         leave = None
-        best = None
-        for i, row in enumerate(tableau):
+        for i in range(m):
+            row = rows[i]
             coef = row[enter]
             if coef > 0:
-                ratio = row[-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave is not None:
+                    # rhs/coef against the best ratio; row denominators cancel
+                    lhs, rhs = row[-1] * best_coef, best_rhs * coef
+                    if not (lhs < rhs or (lhs == rhs and basis[i] < basis[leave])):
+                        continue
+                leave, best_rhs, best_coef = i, row[-1], coef
         if leave is None:
             return enter
-        _pivot(tableau, rcost, basis, leave, enter)
+        pivot(rows, dens, leave, enter)
+        basis[leave] = enter
+        rcost = rows[m]
+
+
+def _price(rows, dens, basis, cost):
+    """The reduced-cost row of `cost` (a rational row as long as the
+    tableau's): the cost row with every basic column eliminated."""
+    (rc,), (den,) = int_rows([cost])
+    for i, k in enumerate(basis):
+        if rc[k]:
+            support = [j for j, v in enumerate(rows[i]) if v]
+            rc, den = eliminate(rc, den, rows[i], k, support)
+    return rc, den
 
 
 def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
@@ -97,43 +103,37 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     nstruct = 2 * n + m
 
     if m == 0:
-        # unconstrained: optimal only for zero objective
+        # unconstrained: optimal only for zero objective; for "max" the ray
+        # improves the internal min, equivalently the max
         if all(c == 0 for c in obj):
             return LPOutcome(OPTIMAL, Fraction(0), tuple(Fraction(0) for _ in range(n)),
                              basis=())
         ray = tuple(Fraction(0) if c == 0 else (Fraction(-1) if c > 0 else Fraction(1))
                     for c in obj)
-        if sense == "max":
-            pass  # ray improves the internal min, equivalently the max
         return LPOutcome(UNBOUNDED, certificate=ray)
 
-    # phase 1 tableau: rows scaled to nonnegative rhs, one artificial per row
+    # phase 1 tableau: rows scaled to nonnegative rhs, one artificial per row,
+    # then the reduced-cost row of the artificial objective
     sigma = [1 if b >= 0 else -1 for _, b in rows]
-    tableau = []
-    for i, (a, b) in enumerate(rows):
-        s = sigma[i]
-        row = [s * v for v in a] + [-s * v for v in a]
-        row += [Fraction(0)] * m
-        row[2 * n + i] = Fraction(-s)
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append(row + art + [s * b])
+    tab, dens = int_rows([a + [b] for a, b in rows])
+    for i, s in enumerate(sigma):
+        a, d = tab[i], dens[i]
+        row = [s * v for v in a[:n]] + [-s * v for v in a[:n]] + [0] * (2 * m) + [s * a[n]]
+        row[2 * n + i] = -s * d
+        row[nstruct + i] = d
+        tab[i] = row
     basis = [nstruct + i for i in range(m)]
     ncols = nstruct + m
-    rcost = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        rcost[j] = (Fraction(1) if j >= nstruct else Fraction(0)) - sum(
-            tableau[i][j] for i in range(m))
-    rcost[-1] = -sum(tableau[i][-1] for i in range(m))
+    rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + [0])
+    tab.append(rc)
+    dens.append(rden)
 
-    _run_simplex(tableau, rcost, basis, ncols)
-    phase1_obj = -rcost[-1]
-    if phase1_obj > 0:
-        # Farkas from phase-1 duals: y_i = 1 - reduced cost of artificial i
-        farkas = []
-        for i in range(m):
-            y = Fraction(1) - rcost[nstruct + i]
-            farkas.append(sigma[i] * y)
+    _run_simplex(tab, dens, basis, ncols)
+    rc, rden = tab[m], dens[m]
+    if rc[-1] < 0:
+        # phase-1 optimum -rcost[-1] > 0.  Farkas from phase-1 duals:
+        # y_i = 1 - reduced cost of artificial i
+        farkas = [sigma[i] * Fraction(rden - rc[nstruct + i], rden) for i in range(m)]
         _check_farkas(rows, farkas)
         return LPOutcome(INFEASIBLE, certificate=tuple(farkas))
 
@@ -141,38 +141,34 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     # because of the slack block, so a pivot column always exists)
     for i in range(m):
         if basis[i] >= nstruct:
-            for j in range(nstruct):
-                if tableau[i][j] != 0:
-                    _pivot(tableau, rcost, basis, i, j)
-                    break
-            else:
-                raise AssertionError("zero row in full-rank standard form")
+            j = next((j for j in range(nstruct) if tab[i][j]), None)
+            if j is None:
+                raise ConsistencyError("zero row in full-rank standard form")
+            pivot(tab, dens, i, j)
+            basis[i] = j
 
     # phase 2: real costs on structural columns, artificials forbidden
-    cost2 = obj + [-c for c in obj] + [Fraction(0)] * m
-    rcost = [Fraction(0)] * (ncols + 1)
-    for j in range(nstruct):
-        rcost[j] = cost2[j] - sum(cost2[basis[i]] * tableau[i][j] for i in range(m))
+    rc, rden = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m + 1))
     for j in range(nstruct, ncols):
-        rcost[j] = Fraction(1)  # block artificials from re-entering
-    entering = _run_simplex(tableau, rcost, basis, nstruct)
+        rc[j] = rden  # reduced cost 1 blocks artificials from re-entering
+    rc[-1] = 0
+    tab[m], dens[m] = rc, rden
+    entering = _run_simplex(tab, dens, basis, nstruct)
 
     if entering is not None:
         direction = [Fraction(0)] * nstruct
         direction[entering] = Fraction(1)
         for i in range(m):
             if basis[i] < nstruct:
-                direction[basis[i]] = -tableau[i][entering]
+                direction[basis[i]] = Fraction(-tab[i][entering], dens[i])
         ray = [direction[k] - direction[n + k] for k in range(n)]
         _check_ray(rows, obj, ray)
-        if sense == "max":
-            pass
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
     xstd = [Fraction(0)] * nstruct
     for i in range(m):
         if basis[i] < nstruct:
-            xstd[basis[i]] = tableau[i][-1]
+            xstd[basis[i]] = Fraction(tab[i][-1], dens[i])
     point = [xstd[k] - xstd[n + k] for k in range(n)]
     value = sum((c * v for c, v in zip(obj, point)), Fraction(0))
     _check_point(rows, point)
@@ -184,26 +180,26 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
 def _check_point(rows, point):
     for a, b in rows:
         if sum((ai * xi for ai, xi in zip(a, point)), Fraction(0)) < b:
-            raise AssertionError("simplex witness violates a constraint")
+            raise ConsistencyError("simplex witness violates a constraint")
 
 
 def _check_ray(rows, obj, ray):
     for a, _ in rows:
         if sum((ai * ri for ai, ri in zip(a, ray)), Fraction(0)) < 0:
-            raise AssertionError("unbounded ray leaves the feasible cone")
+            raise ConsistencyError("unbounded ray leaves the feasible cone")
     if sum((c * r for c, r in zip(obj, ray)), Fraction(0)) >= 0:
-        raise AssertionError("unbounded ray does not improve the objective")
+        raise ConsistencyError("unbounded ray does not improve the objective")
 
 
 def _check_farkas(rows, farkas):
     if any(y < 0 for y in farkas):
-        raise AssertionError("Farkas vector has a negative entry")
+        raise ConsistencyError("Farkas vector has a negative entry")
     n = len(rows[0][0])
     for k in range(n):
         if sum((y * a[k] for y, (a, _) in zip(farkas, rows)), Fraction(0)) != 0:
-            raise AssertionError("Farkas combination does not vanish")
+            raise ConsistencyError("Farkas combination does not vanish")
     if sum((y * b for y, (_, b) in zip(farkas, rows)), Fraction(0)) <= 0:
-        raise AssertionError("Farkas combination is not positive")
+        raise ConsistencyError("Farkas combination is not positive")
 
 
 def standard_basis_columns(constraints, nvars, basis):

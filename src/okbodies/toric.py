@@ -27,7 +27,6 @@ from . import linalg
 from .errors import (ConsistencyError, DimensionMismatch, DimensionTooLarge,
                      FlagRayUnknown, NotABasis, OutsideGenericPolytope,
                      UnboundedGenericPolytope)
-from .oracles import _det_int
 from .polyhedra import (HPolyhedron, VPolyhedron, _in_cone, affine_image,
                         enumerate_v_rep, project_out, solve_lp, vrep_equal)
 from .simplex import OPTIMAL, UNBOUNDED
@@ -111,7 +110,7 @@ class ToricFlag:
             if known[w] != a:
                 raise FlagRayUnknown(
                     f"flag ray {w} carries coefficient {a}, model says {known[w]}")
-        det = _det_int([list(w) for w, _ in self.rays])
+        det = linalg.det_int([list(w) for w, _ in self.rays])
         if det not in (1, -1):
             raise NotABasis(f"flag rays have determinant {det}, need +-1")
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from okbodies.cli import main
-from okbodies.errors import BadRational, SchemaError
+from okbodies.errors import BadRational, ConsistencyError, SchemaError
 from okbodies.jobs import parse_job, run_job
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
@@ -141,3 +141,26 @@ def test_toric_svg(tmp_path):
 def test_bad_window(tmp_path):
     assert run(["curve-body", "tropical", "--input", jobpath("quartic-tropical.json"),
                 "--svg", str(tmp_path / "f.svg"), "--window", "1,1,0,2"]) == 1
+
+
+@pytest.mark.parametrize("exc", [
+    ConsistencyError("Farkas combination is not positive"),
+    RuntimeError("parametric continuation did not terminate"),
+    AssertionError("expected optimal at t=0, got infeasible"),
+])
+def test_internal_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
+    import okbodies.jobs
+
+    def boom(job, seed=None):
+        raise exc
+
+    monkeypatch.setattr(okbodies.jobs, "run_job", boom)
+    out = tmp_path / "r.json"
+    assert run(["curve-body", "tropical", "--input", jobpath("quartic-tropical.json"),
+                "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(exc) in err
+    assert "Traceback" not in err
+    if not isinstance(exc, ConsistencyError):
+        assert err.startswith("internal error: ")
+    assert not out.exists()

@@ -90,3 +90,105 @@ def test_random_boxed_lps_vs_grid():
             assert all(sum(a[i] * out.witness[i] for i in range(len(a))) >= b
                        for a, b in cons)
             assert sum(o * w for o, w in zip(obj, out.witness)) == out.value
+
+
+# Non-integer data.  The outcomes below (status, value, witness, basis and
+# certificate) were recorded with the Fraction-tableau kernel this simplex
+# replaced; Bland's rule on identical values must reproduce them exactly.
+
+def _lp(cons, obj):
+    return ([([F(v) for v in a], F(b)) for a, b in cons], [F(c) for c in obj])
+
+
+def _vec(v):
+    return tuple(F(x) for x in v)
+
+
+def test_fractional_degenerate_vertex():
+    # four constraints through (-2, 0), rational slopes, negative rhs
+    cons, obj = _lp([(["1", "0"], "-2"), (["0", "1"], "0"), (["1/2", "1/3"], "-1"),
+                     (["3/4", "-2/5"], "-3/2")], ["1", "1/7"])
+    out = solve_raw(cons, obj, "min")
+    assert (out.status, out.value, out.witness, out.basis) == (
+        OPTIMAL, -2, _vec(["-2", "0"]), (2, 3, 6, 7))
+    assert out.certificate is None
+
+
+def test_fractional_artificial_driven_out_by_negative_pivot():
+    # phase 1 ends with an artificial basic at level 0 whose row only has
+    # negative structural entries, so it leaves on a negative pivot
+    cons, obj = _lp([(["-1/3"], "0"), (["-1"], "-3/2"), (["2/3"], "-15/7"),
+                     (["-6/5"], "-2/3"), (["3/5"], "0"), (["-3/5"], "-1/3")], ["1"])
+    out = solve_raw(cons, obj, "max")
+    assert (out.status, out.value, out.witness, out.basis) == (
+        OPTIMAL, 0, _vec(["0"]), (0, 3, 4, 5, 6, 7))
+
+
+def test_fractional_unbounded_after_negative_pivot():
+    cons, obj = _lp([(["-3/7", "-10/7"], "-5/2"), (["0", "0"], "0"),
+                     (["-4/7", "-3/2"], "-1/2")], ["-1/5", "-8/5"])
+    out = solve_raw(cons, obj, "min")
+    assert out.status == UNBOUNDED
+    assert out.certificate == _vec(["-140/17", "42/17"])
+    assert (out.value, out.witness, out.basis) == (None, None, None)
+
+
+def test_fractional_infeasible_farkas():
+    cons, obj = _lp([(["1/2"], "3/4"), (["-1/3"], "-1/6")], ["2/3"])
+    out = solve_raw(cons, obj, "min")
+    assert out.status == INFEASIBLE
+    assert out.certificate == _vec(["1", "3/2"])
+    cons, obj = _lp([(["-1/3", "-4/5"], "1"), (["1", "3/4"], "-7/3"),
+                     (["0", "5/3"], "-2/5"), (["-1", "0"], "-1"),
+                     (["-7/6", "-8/7"], "-12/5")], ["11/6", "5/6"])
+    out = solve_raw(cons, obj, "max")
+    assert out.status == INFEASIBLE
+    assert out.certificate == _vec(["1", "1/3", "33/100", "0", "0"])
+
+
+def _rat(rng, lo, hi):
+    d = rng.choice((1, 2, 3, 4, 5, 6, 7))
+    return F(rng.randint(lo * d, hi * d), d)
+
+
+def _random_rational_lp(rng):
+    """Rational coefficients, mostly negative rhs, optional box rows and an
+    optional positively scaled copy of a row (degeneracy)."""
+    n = rng.randint(1, 3)
+    cons = [([_rat(rng, -2, 2) for _ in range(n)], _rat(rng, -3, 1))
+            for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.5:
+        for i in range(n):
+            e = [F(0)] * n
+            e[i] = F(rng.choice((1, 2, 3)), rng.choice((1, 2, 5)))
+            cons.append((e, _rat(rng, -3, 0)))
+            cons.append(([-x for x in e], _rat(rng, -3, 0)))
+    if rng.random() < 0.4:
+        a, b = rng.choice(cons)
+        k = F(rng.randint(1, 5), rng.randint(1, 3))
+        cons.insert(rng.randrange(len(cons) + 1), ([k * x for x in a], k * b))
+    obj = [_rat(rng, -2, 2) for _ in range(n)]
+    return cons, obj, rng.choice(("min", "max"))
+
+
+def _fingerprint(out):
+    def vec(v):
+        return None if v is None else ",".join(str(x) for x in v)
+    return f"{out.status}|{out.value}|{vec(out.witness)}|{vec(out.certificate)}|{out.basis}"
+
+
+def test_random_rational_lps_pinned():
+    # 300 seeded LPs: 178 optimal, 76 unbounded, 46 infeasible; the digest of
+    # their full outcomes was recorded with the Fraction-tableau kernel
+    import hashlib
+    from collections import Counter
+    rng = random.Random(20161)
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for _ in range(300):
+        out = solve_raw(*_random_rational_lp(rng))
+        statuses[out.status] += 1
+        digest.update(_fingerprint(out).encode() + b"\n")
+    assert statuses == {OPTIMAL: 178, UNBOUNDED: 76, INFEASIBLE: 46}
+    assert digest.hexdigest() == (
+        "2c17853f879152543ece3780daf70f13941d64a9b81ae97d607900be7d65e4ea")

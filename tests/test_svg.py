@@ -81,3 +81,16 @@ def test_coordinates_use_decimal_rule():
     # 50 + (2/3)*540 = 410, an exact decimal under the 20-digit rule
     assert 'cx="410"' in svg
     ET.fromstring(svg)
+
+
+def test_decimal_rule_keeps_caller_context():
+    import decimal
+    ctx = decimal.getcontext()
+    saved = ctx.prec
+    ctx.prec = 7
+    try:
+        assert to_decimal20(F(1, 3)) == "0.33333333333333333333"
+        render_svg(tropical_body(), (0, 3, 0, 3))
+        assert decimal.getcontext().prec == 7
+    finally:
+        ctx.prec = saved

@@ -1,16 +1,15 @@
 """Exact linear systems on graphs and Newton-Okounkov bodies of
 semistable curves and toric schemes over discrete valuation rings."""
 
-from .graphs import (Divisor, Graph, GraphFunction, divisor_degree,
-                     graph_diameter, laplacian, m_statistic,
-                     specialize_vertical)
+from .graphs import (Divisor, Graph, GraphFunction, graph_diameter,
+                     laplacian, m_statistic, specialize_vertical)
 from .linsys import (EnrichedSystemSpec, LinearSystemSpec, build_system,
                      enriched_system, member, minimal_element, pointwise_min,
                      zariski_shift)
 from .rank import has_nonnegative_rank, q_reduced
 from .curves import (ArakelovFlag, CurveBodyJob, NOBody2D, TropicalFlag,
-                     VerificationReport, arakelov_body, compute_body,
-                     cross_verify, stabilization, tropical_body)
+                     VerificationReport, compute_body, cross_verify,
+                     stabilization)
 from .toric import (NOT_A_SECTION, ToricFlag, ToricModel,
                     build_generic_polytope, build_model_polyhedron,
                     lattice_point_count, monomial_valuation, psi_value,

@@ -9,6 +9,7 @@
 Exit codes: 0 success, 2 empty-system outcomes, 1 errors (internal
 errors included, reported as "internal error: ..." on stderr).  The subcommand
 must match the job file's kind (and op/flag type where applicable).
+--svg draws the body the job computed; an empty body writes no SVG.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import curves, jobs, toric
+from . import curves, jobs
 from .errors import OkbodiesError, WindowEmpty
 from .jobs import EXIT_EMPTY, EXIT_ERROR, EXIT_OK
 from .rationals import parse_rational
@@ -101,14 +102,13 @@ def _default_window(body) -> tuple:
 def _render(args, job, result) -> None:
     if not args.svg:
         return
-    if job.kind == "curve-body":
-        body = curves.compute_body(jobs._parse_curve_job(job.payload),
-                                   cross_check=False)
-    elif job.kind == "toric-body":
-        model, flag = jobs._parse_toric(job.payload)
-        body = toric.toric_body(model, flag, cross_check=False)
-    else:
+    if job.kind not in ("curve-body", "toric-body"):
         raise OkbodiesError(f"--svg is not available for {job.kind!r} jobs")
+    if result.status == "empty":
+        return
+    body = result.body
+    if job.kind == "toric-body" and body.dimension != 2:
+        raise OkbodiesError(f"--svg needs a 2-D body; this body is {body.dimension}-D")
     window = None
     if args.window:
         window = _parse_window(args.window)
@@ -116,8 +116,9 @@ def _render(args, job, result) -> None:
         window = tuple(parse_rational(w) for w in job.options["window"])
     if window is None:
         window = _default_window(body)
+    svg = render_svg(body, window)
     with open(args.svg, "w") as fh:
-        fh.write(render_svg(body, window))
+        fh.write(svg)
 
 
 def main(argv=None) -> int:

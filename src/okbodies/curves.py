@@ -90,6 +90,7 @@ class VerificationReport:
     parametric: PiecewiseLinearFunction
     projection: PiecewiseLinearFunction
     first_disagreement: Optional[Fraction] = None
+    body: Optional[NOBody2D] = None  # the parametric-route body
 
 
 def _plf_equal(p: PiecewiseLinearFunction, q: PiecewiseLinearFunction) -> bool:
@@ -182,17 +183,6 @@ def _lower_boundary(plane: HPolyhedron) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction(tuple(pts), shape="convex")
 
 
-def tropical_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
-    result, warnings = tropical_body_parametric(job)
-    a = result.function
-    if cross_check:
-        a_fm = tropical_body_projection(job)
-        if not _plf_equal(a, a_fm):
-            raise ConsistencyError(
-                f"parametric and projection disagree: {a} vs {a_fm}")
-    return NOBody2D("overgraph", a, None, (Fraction(0), Fraction(1)), warnings)
-
-
 def _arakelov_family(job: CurveBodyJob):
     g = job.graph
     n = len(g.vertices)
@@ -261,7 +251,12 @@ def arakelov_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction(tuple(pts), tail_slope=Fraction(0), shape="concave")
 
 
-def arakelov_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
+def _parametric_body(job: CurveBodyJob) -> NOBody2D:
+    """The body by the parametric route; the only place it is assembled."""
+    if isinstance(job.flag, TropicalFlag):
+        result, warnings = tropical_body_parametric(job)
+        return NOBody2D("overgraph", result.function, None,
+                        (Fraction(0), Fraction(1)), warnings)
     result, t_start, warnings = arakelov_body_parametric(job)
     shift = job.lam[job.flag.vertex]
     raw = result.function
@@ -270,19 +265,19 @@ def arakelov_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
         tail_slope=raw.tail_slope, shape="concave")
     if b.tail_slope != 0:
         raise ConsistencyError("upper function is not eventually constant")
-    if cross_check:
-        b_fm = arakelov_body_projection(job)
-        if not _plf_equal(b, b_fm):
-            raise ConsistencyError(
-                f"parametric and projection disagree: {b} vs {b_fm}")
     lower = constant_plf(t_start, None, 0)
     return NOBody2D("band", lower, b, (Fraction(1), Fraction(0)), warnings)
 
 
 def compute_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
-    if isinstance(job.flag, TropicalFlag):
-        return tropical_body(job, cross_check)
-    return arakelov_body(job, cross_check)
+    """The body of the job; with cross_check, both routes must agree."""
+    if not cross_check:
+        return _parametric_body(job)
+    report = cross_verify(job)
+    if not report.agree:
+        raise ConsistencyError(
+            f"parametric and projection disagree: {report.parametric} vs {report.projection}")
+    return report.body
 
 
 def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:
@@ -294,20 +289,13 @@ def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:
 
 
 def cross_verify(job: CurveBodyJob) -> VerificationReport:
-    """Run both algorithms and compare breakpoint lists exactly."""
-    if isinstance(job.flag, TropicalFlag):
-        result, _ = tropical_body_parametric(job)
-        para = result.function
-        proj = tropical_body_projection(job)
-        kind = "tropical"
+    """Build the body by the parametric route, compare its boundary
+    function with the projection route's exactly, and keep the body."""
+    body = _parametric_body(job)
+    if body.kind == "overgraph":
+        kind, para, proj = "tropical", body.lower, tropical_body_projection(job)
     else:
-        result, _, _ = arakelov_body_parametric(job)
-        shift = job.lam[job.flag.vertex]
-        para = PiecewiseLinearFunction(
-            tuple((t, v + shift) for t, v in result.function.breakpoints),
-            tail_slope=result.function.tail_slope, shape="concave")
-        proj = arakelov_body_projection(job)
-        kind = "arakelov"
+        kind, para, proj = "arakelov", body.upper, arakelov_body_projection(job)
     agree = _plf_equal(para, proj)
     return VerificationReport(kind, agree, para, proj,
-                              None if agree else _first_disagreement(para, proj))
+                              None if agree else _first_disagreement(para, proj), body)

@@ -65,6 +65,10 @@ class FlagRayUnknown(OkbodiesError):
     pass
 
 
+class InvalidToricModel(OkbodiesError):
+    pass
+
+
 class SchemaError(OkbodiesError):
     pass
 

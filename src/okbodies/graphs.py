@@ -226,10 +226,6 @@ def laplacian(g: Graph, phi: GraphFunction) -> Divisor:
     return Divisor(g, out)
 
 
-def divisor_degree(d: Divisor) -> Fraction:
-    return d.degree()
-
-
 def graph_diameter(g: Graph) -> int:
     """Max over vertex pairs of the shortest-path edge count."""
     best = 0

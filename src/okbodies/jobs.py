@@ -2,7 +2,9 @@
 
 Jobs are JSON with exact numbers only (integers or "p/q" strings).  The
 schema file catches structural problems; rational parsing and graph
-checks produce diagnostics naming the offending field.  Results are
+checks produce diagnostics naming the offending field.  parse_job parses
+each payload once into domain objects that run_job reads, and a body
+job's result keeps the body it computed for rendering.  Results are
 deterministic: the canonical section (job echo + computed objects +
 warnings + status) serializes to identical bytes on every run; timing
 lives outside it.
@@ -10,12 +12,13 @@ lives outside it.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -33,16 +36,16 @@ from .sampling import random_divisor, random_graph, random_member
 
 EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
 
-_SCHEMA = None
 
-
-def _schema():
-    global _SCHEMA
-    if _SCHEMA is None:
-        text = (importlib.resources.files("okbodies") / "schema" /
-                "job.schema.json").read_text()
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+@functools.cache
+def _validator():
+    """The job schema's validator, built and its schema checked once."""
+    text = (importlib.resources.files("okbodies") / "schema" /
+            "job.schema.json").read_text()
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,8 @@ class JobFile:
     kind: str
     payload: dict
     options: dict
+    # the payload's domain objects, from _parse_payload; never written out
+    parsed: tuple = field(compare=False, repr=False)
 
     def as_document(self) -> dict:
         doc = {"kind": self.kind, "payload": self.payload}
@@ -65,6 +70,8 @@ class ResultFile:
     result: dict
     warnings: tuple
     seconds: float
+    # the NOBody2D or VPolyhedron a body job computed, else None; not canonical
+    body: object = field(compare=False, repr=False)
 
     def as_document(self) -> dict:
         return {"canonical": self.canonical(), "timing": {"seconds": self.seconds}}
@@ -90,14 +97,12 @@ def parse_job(text: str) -> JobFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"at {path}: {exc.message}") from exc
-    job = JobFile(doc["kind"], doc["payload"], doc.get("options", {}))
-    _validate_payload(job)  # raises with a field-level diagnostic
-    return job
+    return JobFile(doc["kind"], doc["payload"], doc.get("options", {}),
+                   _parse_payload(doc["kind"], doc["payload"]))
 
 
 def _parse_graph(payload: dict) -> Graph:
@@ -142,36 +147,32 @@ def _parse_toric(payload: dict):
     return model, flag
 
 
-def _validate_payload(job: JobFile) -> None:
-    p = job.payload
-    if job.kind == "linsys":
-        g = _parse_graph(p)
-        _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
-        if p["op"] == "member":
-            if "phi" not in p:
-                raise SchemaError("linsys member needs a 'phi' function")
-            _parse_vertexmap(g, p["phi"], "phi", GraphFunction)
-    elif job.kind == "rank":
-        g = _parse_graph(p)
-        lam = _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
+def _parse_payload(kind: str, p: dict) -> tuple:
+    """The domain objects of a schema-valid payload, raising with a
+    field-level diagnostic.  A verify job gets its target's objects."""
+    target = p["target"] if kind == "verify" else kind
+    if target == "curve-body":
+        return (_parse_curve_job(p),)
+    if target == "toric-body":
+        return _parse_toric(p)
+    if target == "random-curves":
+        return ()  # count and seed are schema-checked
+    g = _parse_graph(p)
+    lam = _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
+    if kind == "verify":
+        return g, lam, p.get("base")
+    if kind == "rank":
         if not lam.is_integral():
             raise SchemaError("rank jobs need an integer divisor")
-        if "base" in p:
-            g.index(p["base"])
-    elif job.kind == "curve-body":
-        _parse_curve_job(p)
-    elif job.kind == "toric-body":
-        _parse_toric(p)
-    elif job.kind == "verify":
-        target = p["target"]
-        if target == "curve-body":
-            _parse_curve_job(p)
-        elif target == "toric-body":
-            _parse_toric(p)
-        elif target in ("linsys", "rank"):
-            g = _parse_graph(p)
-            _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
-        # random-curves needs only count/seed, both schema-checked
+        base = p.get("base", g.vertices[0])
+        g.index(base)
+        return g, lam, base
+    phi = None
+    if p["op"] == "member":
+        if "phi" not in p:
+            raise SchemaError("linsys member needs a 'phi' function")
+        phi = _parse_vertexmap(g, p["phi"], "phi", GraphFunction)
+    return linsys.LinearSystemSpec(g, lam, p.get("effective", True)), p["op"], phi
 
 
 def _rat_map(vec) -> dict:
@@ -207,53 +208,46 @@ def _body_doc(body: curves.NOBody2D) -> dict:
 
 def run_job(job: JobFile, seed: Optional[int] = None) -> ResultFile:
     t0 = time.perf_counter()
-    status, result, warnings = _dispatch(job, seed)
+    status, result, warnings, body = _dispatch(job, seed)
     seconds = time.perf_counter() - t0
-    return ResultFile(job, status, result, tuple(warnings), seconds)
+    return ResultFile(job, status, result, tuple(warnings), seconds, body)
 
 
 def _dispatch(job: JobFile, seed):
-    p = job.payload
+    """(status, result, warnings, body) of a parsed job."""
     if job.kind == "linsys":
-        return _run_linsys(p)
+        return (*_run_linsys(*job.parsed), None)
     if job.kind == "rank":
-        g = _parse_graph(p)
-        lam = _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
-        base = p.get("base", g.vertices[0])
+        g, lam, base = job.parsed
         reduced = rank.q_reduced(g, lam, base)
+        # reduced is non-negative off the base and keeps the degree, so
+        # its value at the base decides the rank, deg < 0 included
         return "ok", {
-            "rank_nonnegative": rank.has_nonnegative_rank(g, lam, base),
+            "rank_nonnegative": reduced[g.index(base)] >= 0,
             "base": base,
             "reduced": {v: c for v, c in zip(g.vertices, reduced)},
-        }, []
+        }, [], None
     if job.kind == "curve-body":
-        cjob = _parse_curve_job(p)
         try:
-            body = curves.compute_body(cjob)
+            body = curves.compute_body(*job.parsed)
         except (EmptyAtZero, EmptySystemError) as exc:
-            return "empty", {"reason": str(exc)}, []
-        return "ok", _body_doc(body), list(body.warnings)
+            return "empty", {"reason": str(exc)}, [], None
+        return "ok", _body_doc(body), list(body.warnings), body
     if job.kind == "toric-body":
-        model, flag = _parse_toric(p)
+        model, flag = job.parsed
         body = toric.toric_body(model, flag)
         result = _vpoly_doc(body)
         if model.ambient_dim <= 3:
             result["generic_lattice_points"] = toric.lattice_point_count(
                 toric.build_generic_polytope(model))
-        return ("empty" if body.is_empty() else "ok"), result, []
+        return ("empty" if body.is_empty() else "ok"), result, [], body
     if job.kind == "verify":
-        return _run_verify(p, seed)
+        return (*_run_verify(job.payload, job.parsed, seed), None)
     raise SchemaError(f"unknown job kind {job.kind!r}")
 
 
-def _run_linsys(p: dict):
-    g = _parse_graph(p)
-    lam = _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
-    effective = p.get("effective", True)
-    spec = linsys.LinearSystemSpec(g, lam, effective)
-    op = p["op"]
+def _run_linsys(spec: linsys.LinearSystemSpec, op: str, phi):
     if op == "member":
-        phi = _parse_vertexmap(g, p["phi"], "phi", GraphFunction)
         return "ok", {"member": linsys.member(spec, phi)}, []
     if op == "min":
         pi = linsys.minimal_element(spec)
@@ -281,7 +275,7 @@ def _verify_curve_job(cjob: curves.CurveBodyJob, checks, label=""):
         return
     _check(checks, f"{prefix}dual-algorithm", report.agree,
            "" if report.agree else f"first disagreement at t = {report.first_disagreement}")
-    body = curves.compute_body(cjob, cross_check=False)
+    body = report.body
     f = body.lower if body.kind == "overgraph" else body.upper
     closed = all(
         body.contains((t + body.recession[0], v + body.recession[1]))
@@ -289,13 +283,13 @@ def _verify_curve_job(cjob: curves.CurveBodyJob, checks, label=""):
     _check(checks, f"{prefix}recession-closure", closed)
 
 
-def _run_verify(p: dict, seed):
+def _run_verify(p: dict, parsed: tuple, seed):
     checks = []
     target = p["target"]
     if seed is None:
         seed = p.get("seed", 0)
     if target == "curve-body":
-        _verify_curve_job(_parse_curve_job(p), checks)
+        _verify_curve_job(*parsed, checks)
     elif target == "random-curves":
         rng = random.Random(seed)
         count = p.get("count", 50)
@@ -316,7 +310,7 @@ def _run_verify(p: dict, seed):
             _verify_curve_job(curves.CurveBodyJob(g, lam, flag), checks,
                               label=f"job{made}")
     elif target == "toric-body":
-        model, flag = _parse_toric(p)
+        model, flag = parsed
         body_v = toric.toric_body_vertexmap(model, flag)
         body_p = toric.toric_body_projection(model, flag)
         _check(checks, "vertexmap-vs-projection", vrep_equal(body_v, body_p))
@@ -330,8 +324,7 @@ def _run_verify(p: dict, seed):
                     inside = False
         _check(checks, "monomial-valuations-inside", inside)
     elif target == "linsys":
-        g = _parse_graph(p)
-        lam = _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
+        g, lam, _ = parsed
         spec = linsys.LinearSystemSpec(g, lam, True)
         pi = linsys.minimal_element(spec)
         if pi is None:
@@ -352,9 +345,8 @@ def _run_verify(p: dict, seed):
             _check(checks, "minimal-below-samples", ok_min)
             _check(checks, "pointwise-min-closure", ok_closure)
     elif target == "rank":
-        g = _parse_graph(p)
-        lam = _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
-        main = rank.has_nonnegative_rank(g, lam, p.get("base"))
+        g, lam, base = parsed
+        main = rank.has_nonnegative_rank(g, lam, base)
         oracle = RankOracle(g).has_nonnegative_rank(lam)
         _check(checks, "dhar-vs-class-enumeration", main == oracle,
                f"dhar={main} oracle={oracle}")

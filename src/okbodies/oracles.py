@@ -127,12 +127,3 @@ def rank_boxed_search(g: Graph, lam: Divisor) -> bool:
         if ok:
             return True
     return False
-
-
-def minimum_over_vrep(vertices, rays, objective):
-    """Brute-force LP oracle: minimum of a linear objective over a
-    V-polyhedron; None when a ray makes it unbounded."""
-    for r in rays:
-        if linalg.dot(objective, r) < 0:
-            return None
-    return min(linalg.dot(objective, v) for v in vertices)

@@ -291,7 +291,7 @@ def canonicalize_vrep(v: VPolyhedron) -> VPolyhedron:
     kept_rays = []
     for i, r in enumerate(rays):
         others = kept_rays + rays[i + 1:]
-        if not _in_cone(r, others):
+        if not in_cone(r, others):
             kept_rays.append(r)
     verts = sorted(set(v.vertices))
     kept_verts = []
@@ -305,7 +305,8 @@ def canonicalize_vrep(v: VPolyhedron) -> VPolyhedron:
     return VPolyhedron(kept_verts, kept_rays)
 
 
-def _in_cone(r, generators) -> bool:
+def in_cone(r, generators) -> bool:
+    """True iff r is a non-negative combination of the generators."""
     if not generators:
         return all(v == 0 for v in r)
     d = len(r)
@@ -326,9 +327,3 @@ def vrep_equal(a: VPolyhedron, b: VPolyhedron) -> bool:
     """Exact set equality via canonical forms."""
     ca, cb = canonicalize_vrep(a), canonicalize_vrep(b)
     return ca.vertices == cb.vertices and ca.rays == cb.rays
-
-
-def hull_constraints(v: VPolyhedron, sample_points) -> bool:
-    """Round-trip helper: checks sample membership agreement between a
-    V-polyhedron and a point set (used by tests)."""
-    return [v.contains(pt) for pt in sample_points]

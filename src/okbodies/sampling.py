@@ -40,10 +40,6 @@ def random_divisor(rng: random.Random, g: Graph, bound: int = 4) -> Divisor:
     return Divisor(g, [rng.randint(-bound, bound) for _ in g.vertices])
 
 
-def random_effective_divisor(rng: random.Random, g: Graph, bound: int = 4) -> Divisor:
-    return Divisor(g, [rng.randint(0, bound) for _ in g.vertices])
-
-
 def random_rational(rng: random.Random, lo: int = -4, hi: int = 4,
                     max_den: int = 6) -> Fraction:
     den = rng.randint(1, max_den)

@@ -25,9 +25,9 @@ from typing import List, Optional, Tuple
 
 from . import linalg
 from .errors import (ConsistencyError, DimensionMismatch, DimensionTooLarge,
-                     FlagRayUnknown, NotABasis, OutsideGenericPolytope,
-                     UnboundedGenericPolytope)
-from .polyhedra import (HPolyhedron, VPolyhedron, _in_cone, affine_image,
+                     FlagRayUnknown, InvalidToricModel, NotABasis,
+                     OutsideGenericPolytope, UnboundedGenericPolytope)
+from .polyhedra import (HPolyhedron, VPolyhedron, in_cone, affine_image,
                         enumerate_v_rep, project_out, solve_lp, vrep_equal)
 from .simplex import OPTIMAL, UNBOUNDED
 
@@ -61,15 +61,15 @@ class ToricModel:
         gr = tuple((_ivec(u, d, "generic ray"), int(a)) for u, a in generic_rays)
         vv = tuple((_ivec(v, d, "vertical vertex"), int(a)) for v, a in vertical_vertices)
         if not vv:
-            raise ValueError("a model needs at least one vertical vertex")
+            raise InvalidToricModel("a model needs at least one vertical vertex")
         for u, _ in gr:
             if not _is_primitive(u):
-                raise ValueError(f"generic ray {u} is not primitive")
+                raise InvalidToricModel(f"generic ray {u} is not primitive")
         rays = [tuple(Fraction(x) for x in u) for u, _ in gr]
         for i in range(d):
             for sign in (1, -1):
                 e = tuple(Fraction(sign * int(i == j)) for j in range(d))
-                if not _in_cone(e, rays):
+                if not in_cone(e, rays):
                     raise UnboundedGenericPolytope(
                         "generic rays do not positively span the ambient space")
         object.__setattr__(self, "ambient_dim", d)

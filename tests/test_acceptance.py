@@ -7,8 +7,7 @@ import time
 from fractions import Fraction
 
 from okbodies.curves import (ArakelovFlag, CurveBodyJob, TropicalFlag,
-                             arakelov_body, compute_body, cross_verify,
-                             stabilization, tropical_body)
+                             compute_body, cross_verify, stabilization)
 from okbodies.errors import EmptyAtZero, EmptySystemError
 from okbodies.graphs import Divisor, Graph, GraphFunction, graph_diameter, laplacian, m_statistic
 from okbodies.linsys import LinearSystemSpec, member, minimal_element, pointwise_min, zariski_shift
@@ -43,8 +42,8 @@ def _report(num, label, t0, budget):
 def test_acceptance_1_quartic_tropical():
     t0 = time.perf_counter()
     g = quartic()
-    body = tropical_body(CurveBodyJob(g, quartic_lam(g),
-                                      TropicalFlag(Divisor(g, [1, 0, 0, 0]), "P")))
+    body = compute_body(CurveBodyJob(g, quartic_lam(g),
+                                     TropicalFlag(Divisor(g, [1, 0, 0, 0]), "P")))
     assert body.lower.breakpoints == ((0, 0), (2, 0), (4, F(1, 2)))
     assert body.lower.value_at(1) == 0
     assert body.lower.value_at(3) == F(1, 4)
@@ -55,7 +54,7 @@ def test_acceptance_1_quartic_tropical():
 def test_acceptance_2_quartic_arakelov():
     t0 = time.perf_counter()
     g = quartic()
-    body = arakelov_body(CurveBodyJob(g, quartic_lam(g), ArakelovFlag("P")))
+    body = compute_body(CurveBodyJob(g, quartic_lam(g), ArakelovFlag("P")))
     assert body.upper.value_at(0) == 2
     assert body.upper.breakpoints == ((0, 2), (F(1, 2), 4))
     assert body.upper.tail_slope == 0

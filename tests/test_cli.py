@@ -79,6 +79,14 @@ def test_schema_errors():
         parse_job("{}")
     with pytest.raises(SchemaError):
         parse_job(json.dumps({"kind": "rank", "payload": {}}))
+    # four errors; the reported one is jsonschema's best match
+    several = {"kind": "rank",
+               "payload": {"graph": {"vertices": [], "edges": [["a"]]},
+                           "divisor": {"a": 0.5}, "bogus": 1}}
+    with pytest.raises(SchemaError) as info:
+        parse_job(json.dumps(several))
+    assert str(info.value) == (
+        "at payload: Additional properties are not allowed ('bogus' was unexpected)")
 
 
 def test_bad_rational():
@@ -141,6 +149,41 @@ def test_toric_svg(tmp_path):
 def test_bad_window(tmp_path):
     assert run(["curve-body", "tropical", "--input", jobpath("quartic-tropical.json"),
                 "--svg", str(tmp_path / "f.svg"), "--window", "1,1,0,2"]) == 1
+    assert not (tmp_path / "f.svg").exists()
+
+
+def test_svg_needs_a_2d_body(tmp_path, capsys):
+    svg = tmp_path / "fig.svg"
+    assert run(["toric-body", "--input", jobpath("toric-d2-square.json"),
+                "--output", str(tmp_path / "r.json"), "--svg", str(svg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --svg needs a 2-D body; this body is 3-D\n")
+    assert not svg.exists()
+
+
+def test_svg_of_an_empty_body(tmp_path):
+    with open(jobpath("quartic-arakelov.json")) as fh:
+        doc = json.load(fh)
+    doc["payload"]["divisor"] = {v: -1 for v in doc["payload"]["divisor"]}
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    out, svg = tmp_path / "r.json", tmp_path / "fig.svg"
+    assert run(["curve-body", "arakelov", "--input", str(job),
+                "--output", str(out), "--svg", str(svg)]) == 2
+    assert read_result(out)["canonical"]["status"] == "empty"
+    assert not svg.exists()
+
+
+def test_non_primitive_toric_ray(tmp_path, capsys):
+    with open(jobpath("toric-d1.json")) as fh:
+        doc = json.load(fh)
+    doc["payload"]["model"]["generic_rays"][0][0] = [2]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    assert run(["toric-body", "--input", str(job)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not primitive" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("exc", [

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from okbodies.curves import (ArakelovFlag, CurveBodyJob, TropicalFlag,
-                             arakelov_body, compute_body, cross_verify,
-                             stabilization, tropical_body)
+                             compute_body, cross_verify, stabilization)
 from okbodies.errors import EmptyAtZero, EmptySystemError, NonPositiveDegree
 from okbodies.graphs import Divisor, Graph
 from okbodies.sampling import random_divisor, random_graph
@@ -22,7 +21,7 @@ def test_quartic_tropical():
     g = quartic()
     job = CurveBodyJob(g, quartic_lam(g),
                        TropicalFlag(Divisor(g, [1, 0, 0, 0]), "P"))
-    body = tropical_body(job)
+    body = compute_body(job)
     assert body.kind == "overgraph"
     assert body.lower.breakpoints == ((0, 0), (2, 0), (4, F(1, 2)))
     assert body.recession == (0, 1)
@@ -36,7 +35,7 @@ def test_quartic_tropical():
 def test_quartic_arakelov():
     g = quartic()
     job = CurveBodyJob(g, quartic_lam(g), ArakelovFlag("P"))
-    body = arakelov_body(job)
+    body = compute_body(job)
     assert body.kind == "band"
     assert body.upper.breakpoints == ((0, 2), (F(1, 2), 4))
     assert body.upper.tail_slope == 0
@@ -51,7 +50,7 @@ def test_path_tropical_identity():
     g = Graph(["a", "b"], [("a", "b")])
     job = CurveBodyJob(g, Divisor(g, [2, 0]),
                        TropicalFlag(Divisor(g, [0, 1]), "b"))
-    body = tropical_body(job)
+    body = compute_body(job)
     assert body.lower.breakpoints == ((0, 0), (2, 2))
 
 
@@ -59,7 +58,7 @@ def test_path_arakelov_constant():
     # a-b path, lam = 2(a), flag vertex a: b(t) = 2 for all t >= 0
     g = Graph(["a", "b"], [("a", "b")])
     job = CurveBodyJob(g, Divisor(g, [2, 0]), ArakelovFlag("a"))
-    body = arakelov_body(job)
+    body = compute_body(job)
     assert body.upper.breakpoints == ((0, 2),)
     assert body.upper.tail_slope == 0
     assert body.upper.value_at(17) == 2
@@ -70,7 +69,7 @@ def test_arakelov_empty_system():
     g = Graph(["a", "b"], [("a", "b")])
     job = CurveBodyJob(g, Divisor(g, [-3, 2]), ArakelovFlag("a"))
     with pytest.raises(EmptySystemError):
-        arakelov_body(job)
+        compute_body(job)
 
 
 def test_arakelov_shifted_start_warning():
@@ -78,7 +77,7 @@ def test_arakelov_shifted_start_warning():
     # starts at t = 1 and the discrepancy is reported, not hidden
     g = Graph(["a", "b"], [("a", "b")])
     job = CurveBodyJob(g, Divisor(g, [2, -1]), ArakelovFlag("b"))
-    body = arakelov_body(job)
+    body = compute_body(job)
     assert body.upper.domain_start == 1
     assert body.warnings and "t = 1" in body.warnings[0]
 
@@ -95,9 +94,11 @@ def test_flag_validation():
 def test_cross_verify_agreement():
     g = quartic()
     for flag in (TropicalFlag(Divisor(g, [1, 0, 0, 0]), "P"), ArakelovFlag("P")):
-        report = cross_verify(CurveBodyJob(g, quartic_lam(g), flag))
+        job = CurveBodyJob(g, quartic_lam(g), flag)
+        report = cross_verify(job)
         assert report.agree
         assert report.first_disagreement is None
+        assert report.body == compute_body(job, cross_check=False)
 
 
 def test_random_jobs_both_routes():

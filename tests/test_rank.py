@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from okbodies.errors import NonIntegerDivisor
 from okbodies.graphs import Divisor, Graph
+from okbodies.jobs import parse_job, run_job
 from okbodies.oracles import RankOracle, rank_boxed_search
 from okbodies.rank import has_nonnegative_rank, q_reduced
 from okbodies.sampling import random_graph
@@ -79,3 +81,19 @@ def test_non_integer_rejected():
     g = Graph(["a", "b"], [("a", "b")])
     with pytest.raises(NonIntegerDivisor):
         has_nonnegative_rank(g, Divisor(g, [Fraction(1, 2), 0]))
+
+
+def test_rank_job_verdict_matches_has_nonnegative_rank():
+    rng = random.Random(43)
+    negative = 0
+    for _ in range(60):
+        g = random_graph(rng, max_vertices=5)
+        values = {v: rng.randint(-3, 3) for v in g.vertices}
+        lam = Divisor(g, values)
+        base = rng.choice(g.vertices)
+        result = run_job(parse_job(json.dumps({"kind": "rank", "payload": {
+            "graph": {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]},
+            "divisor": values, "base": base}})))
+        assert result.result["rank_nonnegative"] == has_nonnegative_rank(g, lam, base)
+        negative += lam.degree() < 0
+    assert negative >= 10

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import curves, jobs
 from .errors import OkbodiesError, WindowEmpty
-from .jobs import EXIT_EMPTY, EXIT_ERROR, EXIT_OK
+from .jobs import EXIT_ERROR
 from .rationals import parse_rational
 from .svgplot import render_svg
 

@@ -20,15 +20,15 @@ projection, and the two answers must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import (ConsistencyError, EmptySystemError, EmptyAtZero,
                      NonPositiveDegree, UnknownVertex)
-from .graphs import Divisor, Graph, GraphFunction
+from .graphs import Divisor, Graph
 from .linsys import (EnrichedSystemSpec, LinearSystemSpec, build_system,
-                     enriched_system, laplacian_rows, minimal_element)
+                     enriched_system, minimal_element)
 from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction, constant_plf
 from .polyhedra import HPolyhedron, enumerate_v_rep, project_out
@@ -109,23 +109,20 @@ def _first_disagreement(p, q) -> Optional[Fraction]:
     return None
 
 
+def _system_rows(job: CurveBodyJob):
+    """(rows, rhs) of L+(Lam) as `build_system` lays it out: the Laplacian
+    rows, then the rows phi >= 0."""
+    poly = build_system(LinearSystemSpec(job.graph, job.lam, True))
+    return [a for a, _ in poly.constraints], [b for _, b in poly.constraints]
+
+
 def _tropical_family(job: CurveBodyJob):
     """(A, b0, b1, objective) for the family laplacian(phi) + Lam - t*Lam1 >= 0,
     phi >= 0, minimizing phi at the flag vertex."""
     g = job.graph
     n = len(g.vertices)
-    lam1 = job.flag.y1_specialization
-    rows, b0, b1 = [], [], []
-    for i, lrow in enumerate(laplacian_rows(g)):
-        rows.append(lrow)
-        b0.append(-job.lam.values[i])
-        b1.append(lam1.values[i])
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        rows.append(tuple(e))
-        b0.append(Fraction(0))
-        b1.append(Fraction(0))
+    rows, b0 = _system_rows(job)
+    b1 = list(job.flag.y1_specialization.values) + [Fraction(0)] * n
     objective = [Fraction(0)] * n
     objective[g.index(job.flag.vertex)] = Fraction(1)
     return rows, b0, b1, objective
@@ -184,31 +181,20 @@ def _lower_boundary(plane: HPolyhedron) -> PiecewiseLinearFunction:
 
 
 def _arakelov_family(job: CurveBodyJob):
+    """(A, b0, b1, objective) for L+(Lam) sliced by phi(v) = t, maximizing
+    laplacian(phi)(v)."""
     g = job.graph
     n = len(g.vertices)
     iv = g.index(job.flag.vertex)
-    lrows = laplacian_rows(g)
-    rows, b0, b1 = [], [], []
-    for i, lrow in enumerate(lrows):
-        rows.append(lrow)
-        b0.append(-job.lam.values[i])
-        b1.append(Fraction(0))
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        rows.append(tuple(e))
-        b0.append(Fraction(0))
-        b1.append(Fraction(0))
+    rows, b0 = _system_rows(job)
+    b1 = [Fraction(0)] * (2 * n)
     # slice phi(v) = t as a pair of parametric inequalities
     ev = [Fraction(0)] * n
     ev[iv] = Fraction(1)
-    rows.append(tuple(ev))
-    b0.append(Fraction(0))
-    b1.append(Fraction(1))
-    rows.append(tuple(-v for v in ev))
-    b0.append(Fraction(0))
-    b1.append(Fraction(-1))
-    objective = list(lrows[iv])
+    rows += [tuple(ev), tuple(-v for v in ev)]
+    b0 += [Fraction(0), Fraction(0)]
+    b1 += [Fraction(1), Fraction(-1)]
+    objective = list(rows[iv])
     return rows, b0, b1, objective
 
 

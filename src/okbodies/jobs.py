@@ -25,8 +25,8 @@ from typing import Optional
 import jsonschema
 
 from . import curves, linsys, rank, toric
-from .errors import (Disconnected, EmptyAtZero, EmptySystemError,
-                     OkbodiesError, SchemaError, UnknownVertex)
+from .errors import (EmptyAtZero, EmptySystemError, OkbodiesError, SchemaError,
+                     UnknownVertex)
 from .graphs import Divisor, Graph, GraphFunction
 from .oracles import RankOracle
 from .plf import PiecewiseLinearFunction

@@ -141,18 +141,13 @@ def nullspace(matrix, ncols=None):
 
 def primitive_direction(vec):
     """Scale a rational vector by a positive factor to a primitive integer
-    vector.  The sign is kept as-is."""
-    denoms = [Fraction(v).denominator for v in vec]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(v) * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    vector.  The sign is kept as-is; the zero vector stays zero."""
+    (ints,), _ = int_rows([vec])
+    g = gcd(*ints)
     if g == 0:
-        return tuple(Fraction(0) for _ in vec)
-    return tuple(Fraction(v, g) for v in ints)
+        return (Fraction(0),) * len(ints)
+    # from a list, not a generator: see int_rows
+    return tuple([Fraction(v, g) for v in ints])
 
 
 def dot(a, b):

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import List
 
 from . import linalg
-from .graphs import Divisor, Graph, GraphFunction, graph_diameter, laplacian
+from .graphs import Divisor, Graph, graph_diameter
 
 
 def m_statistic_bruteforce(f: Divisor) -> Fraction:

@@ -6,9 +6,13 @@ piecewise linear function over the maximal feasible closed subinterval.
 
 Method: optimal-basis continuation.  The optimal basis at a point stays
 optimal while B^-1 (b0 + t b1) >= 0, which is an exact rational interval
-in t; value is linear there.  At degenerate breakpoints the next piece is
-found by re-solving at a probe point strictly inside the remaining gap
-and validating the candidate line against the known value at the current
+in t; value is linear there.  Each solve passes b1 to the simplex as its
+rhs direction, so the final tableau's direction column gives the basic
+values' rates B^-1 b1 and the reduced-cost row gives the value's slope:
+the interval and the line are read off the outcome, with no solve
+against the basis matrix here.  At degenerate breakpoints the next piece is found by
+re-solving at a probe point strictly inside the remaining gap and
+validating the candidate line against the known value at the current
 abscissa (a convexity argument makes that check exact).
 """
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from . import linalg, simplex
+from . import simplex
 from .errors import InfeasibleEverywhere, UnboundedValue
 from .plf import PiecewiseLinearFunction
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
@@ -67,31 +71,10 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
         return [(a, p + t * q) for a, p, q in zip(rows, b0, b1)]
 
     def solve_at(t):
-        out = simplex.solve_raw(constraints_at(t), internal_obj, "min")
+        out = simplex.solve_raw(constraints_at(t), internal_obj, "min", b1)
         if out.status != OPTIMAL:
             raise AssertionError(f"expected optimal at t={t}, got {out.status}")
         return out
-
-    def basis_line(basis):
-        """(lo, hi, alpha, beta): validity interval (None = unbounded side)
-        and value line of a standard-form basis."""
-        bmat = simplex.standard_basis_columns(constraints_at(0), nvars, basis)
-        u0 = linalg.solve_square(bmat, b0)
-        u1 = linalg.solve_square(bmat, b1)
-        if u0 is None or u1 is None:
-            raise AssertionError("singular optimal basis")
-        cb = simplex.standard_costs(internal_obj, nvars, basis)
-        alpha = linalg.dot(cb, u0)
-        beta = linalg.dot(cb, u1)
-        lo, hi = None, None
-        for p, q in zip(u0, u1):
-            if q > 0:
-                bound = -p / q
-                lo = bound if lo is None or bound > lo else lo
-            elif q < 0:
-                bound = -p / q
-                hi = bound if hi is None or bound < hi else hi
-        return lo, hi, alpha, beta
 
     pieces = []
     t_cur = t_lo
@@ -102,7 +85,7 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
         steps += 1
         if steps > _SAFETY_CAP:
             raise RuntimeError("parametric continuation did not terminate")
-        _, hi, alpha, beta = basis_line(out.basis)
+        _, hi, alpha, beta = _basis_line(out, t_cur)
         if alpha + beta * t_cur != val_cur:
             raise AssertionError("basis line misses the known value")
         if hi is None or (t_hi is not None and hi >= t_hi):
@@ -111,7 +94,7 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
             end = hi
         else:
             # degenerate at t_cur: probe strictly to the right for the next line
-            end, alpha, beta = _probe_right(t_cur, val_cur, t_hi, solve_at, basis_line)
+            end, alpha, beta = _probe_right(t_cur, val_cur, t_hi, solve_at)
         pieces.append((t_cur, end, alpha, beta))
         if end is None or (t_hi is not None and end >= t_hi):
             break
@@ -137,11 +120,25 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
     return ParametricResult(t_lo, t_hi, plf)
 
 
-def _probe_right(t_cur, val_cur, t_hi, solve_at, basis_line):
+def _basis_line(out, t):
+    """(lo, hi, alpha, beta): validity interval (None = unbounded side) of
+    the optimal basis of `out`, solved at t, and its value line as the
+    tableau holds it."""
+    lo, hi = None, None
+    for p, q in out.basic:
+        if q:
+            bound = t - p / q
+            if q > 0:
+                lo = bound if lo is None or bound > lo else lo
+            else:
+                hi = bound if hi is None or bound < hi else hi
+    return lo, hi, out.tableau_value - out.slope * t, out.slope
+
+
+def _probe_right(t_cur, val_cur, t_hi, solve_at):
     probe = (t_cur + t_hi) / 2 if t_hi is not None else t_cur + 1
     for _ in range(_SAFETY_CAP):
-        out = solve_at(probe)
-        lo, hi, alpha, beta = basis_line(out.basis)
+        lo, hi, alpha, beta = _basis_line(solve_at(probe), probe)
         if alpha + beta * t_cur == val_cur:
             end = hi
             if end is None or (t_hi is not None and end >= t_hi):

@@ -9,14 +9,13 @@ never an exception.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from . import linalg, simplex
 from .errors import DimensionMismatch, DimensionTooLarge
-from .simplex import INFEASIBLE, LPOutcome, OPTIMAL, UNBOUNDED
+from .simplex import INFEASIBLE, LPOutcome, OPTIMAL
 
 Vector = Tuple[Fraction, ...]
 Constraint = Tuple[Vector, Fraction]
@@ -81,27 +80,12 @@ class VPolyhedron:
         return not self.vertices
 
     def contains(self, point) -> bool:
-        """Membership by LP over convex-combination multipliers."""
-        point = _vec(point)
+        """Membership by LP: (point, 1) in the cone of the (vertex, 1) and
+        (ray, 0)."""
         if self.is_empty():
             return False
-        d = len(point)
-        nv, nr = len(self.vertices), len(self.rays)
-        # variables: lambda_i (nv), mu_j (nr); equalities as inequality pairs
-        cons = []
-        for k in range(d):
-            row = [v[k] for v in self.vertices] + [r[k] for r in self.rays]
-            cons.append((row, point[k]))
-            cons.append(([-c for c in row], -point[k]))
-        one = [Fraction(1)] * nv + [Fraction(0)] * nr
-        cons.append((one, Fraction(1)))
-        cons.append(([-c for c in one], Fraction(-1)))
-        for i in range(nv + nr):
-            e = [Fraction(0)] * (nv + nr)
-            e[i] = Fraction(1)
-            cons.append((e, Fraction(0)))
-        out = simplex.solve_raw(cons, [Fraction(0)] * (nv + nr), "min")
-        return out.status == OPTIMAL
+        return in_cone((*_vec(point), 1),
+                       [(*v, 1) for v in self.vertices] + [(*r, 0) for r in self.rays])
 
 
 def solve_lp(p: HPolyhedron, objective, sense: str = "min") -> LPOutcome:
@@ -113,27 +97,15 @@ def solve_lp(p: HPolyhedron, objective, sense: str = "min") -> LPOutcome:
     return simplex.solve_raw(p.constraints, objective, sense)
 
 
-def _normalize_constraint(a: Vector, b: Fraction) -> Constraint:
-    """Positive scaling to a primitive integer row (including the rhs)."""
-    lcm = 1
-    for q in list(a) + [b]:
-        lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-    ints = [int(q * lcm) for q in a] + [int(b * lcm)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in a), Fraction(0)
-    return tuple(Fraction(v, g) for v in ints[:-1]), Fraction(ints[-1], g)
-
-
-def _drop_redundant(dimension: int, constraints) -> list:
+def _drop_redundant(constraints) -> list:
     """Remove rows implied by the others, via one LP per candidate row.
     Trivial rows (0 >= b with b <= 0) and duplicates go first, cheaply."""
     seen = set()
     rows = []
     for a, b in constraints:
-        a, b = _normalize_constraint(a, b)
+        # positive scaling to a primitive integer row, rhs included
+        *a, b = linalg.primitive_direction((*a, b))
+        a = tuple(a)
         if all(v == 0 for v in a):
             if b > 0:
                 rows.append((a, b))  # keep: records infeasibility
@@ -154,8 +126,7 @@ def _drop_redundant(dimension: int, constraints) -> list:
     return kept
 
 
-def fm_eliminate(p: HPolyhedron, var_index: int,
-                 remove_redundant: bool = True) -> HPolyhedron:
+def fm_eliminate(p: HPolyhedron, var_index: int) -> HPolyhedron:
     """Project out coordinate `var_index` by Fourier-Motzkin pairing.
     LP-based redundancy removal keeps the output tame."""
     if not (0 <= var_index < p.dimension):
@@ -181,25 +152,14 @@ def fm_eliminate(p: HPolyhedron, var_index: int,
         row = tuple(-cu * x + cl * y for x, y in zip(al, au))
         rhs = -cu * bl + cl * bu
         combined.append((strip(row), rhs))
-    if remove_redundant:
-        combined = _drop_redundant(p.dimension - 1, combined)
-    else:
-        seen, dedup = set(), []
-        for a, b in combined:
-            a, b = _normalize_constraint(a, b)
-            if (a, b) not in seen:
-                seen.add((a, b))
-                dedup.append((a, b))
-        combined = dedup
-    return HPolyhedron(p.dimension - 1, combined)
+    return HPolyhedron(p.dimension - 1, _drop_redundant(combined))
 
 
-def project_out(p: HPolyhedron, var_indices: Sequence[int],
-                remove_redundant: bool = True) -> HPolyhedron:
+def project_out(p: HPolyhedron, var_indices: Sequence[int]) -> HPolyhedron:
     """Eliminate several coordinates (indices in the original numbering)."""
     remaining = p
     for idx in sorted(var_indices, reverse=True):
-        remaining = fm_eliminate(remaining, idx, remove_redundant)
+        remaining = fm_eliminate(remaining, idx)
     return remaining
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from .errors import ConsistencyError
 from .graphs import Divisor, Graph, GraphFunction
 from .linsys import LinearSystemSpec, build_system, member
-from .polyhedra import HPolyhedron, solve_lp
+from .polyhedra import solve_lp
 from .simplex import OPTIMAL
 
 

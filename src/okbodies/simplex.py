@@ -15,6 +15,15 @@ The tableau rows, reduced-cost row included, are integer rows from
 entering test reads the sign of a numerator and the ratio test compares
 by cross-multiplication.  Fractions are built only for the outcome.
 
+Right-hand-side sensitivity: a caller may pass a direction d, one
+rational per constraint.  It rides in the tableau as one extra column
+between the artificial block and the rhs, never a candidate to enter and
+never read by the ratio test, so the pivots are the same with or without
+it.  At the optimum that column holds B^-1 d, the rate of each basic
+variable as b moves to b + s*d, and the reduced-cost row holds the
+objective's rate c_B.B^-1 d.  The standard-form layout stays private to
+this module.
+
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
 heuristics.  Intended for dimensions <= 10 and a few hundred constraints.
 """
@@ -41,6 +50,12 @@ class LPOutcome:
     certificate: Optional[Tuple[Fraction, ...]] = None
     # standard-form basis (column indices), for parametric continuation
     basis: Optional[Tuple[int, ...]] = None
+    # optimal with a rhs direction d: (value, rate along d) of each basic
+    # variable in `basis` order, the optimal value as the tableau's
+    # reduced-cost row holds it, and that value's rate along d
+    basic: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
+    tableau_value: Optional[Fraction] = None
+    slope: Optional[Fraction] = None
 
 
 def _run_simplex(rows, dens, basis, ncols):
@@ -84,47 +99,61 @@ def _price(rows, dens, basis, cost):
 
 def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
               objective: Sequence[Fraction],
-              sense: str = "min") -> LPOutcome:
-    """Solve min/max objective.x over {x : a.x >= b for (a, b) in constraints}."""
+              sense: str = "min",
+              direction: Optional[Sequence[Fraction]] = None) -> LPOutcome:
+    """Solve min/max objective.x over {x : a.x >= b for (a, b) in constraints}.
+
+    Coefficients are ints or Fractions.  With a `direction` d (one entry
+    per constraint), an optimal outcome also carries `basic`,
+    `tableau_value` and `slope`: the optimal basis's value line as b moves
+    along d."""
     nvars = len(objective)
     for a, _ in constraints:
         if len(a) != nvars:
             raise DimensionMismatch(
                 f"constraint has {len(a)} coefficients, expected {nvars}")
-    obj = [Fraction(c) for c in objective]
+    obj = list(objective)
     if sense == "max":
         obj = [-c for c in obj]
     elif sense != "min":
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-
-    rows = [( [Fraction(v) for v in a], Fraction(b) ) for a, b in constraints]
+    rows = constraints
     m = len(rows)
     n = nvars
     nstruct = 2 * n + m
+    if direction is not None and len(direction) != m:
+        raise DimensionMismatch(f"direction has {len(direction)} entries, expected {m}")
 
     if m == 0:
         # unconstrained: optimal only for zero objective; for "max" the ray
         # improves the internal min, equivalently the max
         if all(c == 0 for c in obj):
-            return LPOutcome(OPTIMAL, Fraction(0), tuple(Fraction(0) for _ in range(n)),
-                             basis=())
+            zero = Fraction(0)
+            line = (None, None, None) if direction is None else ((), zero, zero)
+            return LPOutcome(OPTIMAL, zero, (zero,) * n, None, (), *line)
         ray = tuple(Fraction(0) if c == 0 else (Fraction(-1) if c > 0 else Fraction(1))
                     for c in obj)
         return LPOutcome(UNBOUNDED, certificate=ray)
 
     # phase 1 tableau: rows scaled to nonnegative rhs, one artificial per row,
-    # then the reduced-cost row of the artificial objective
+    # the direction column if any, then the reduced-cost row of the
+    # artificial objective
     sigma = [1 if b >= 0 else -1 for _, b in rows]
-    tab, dens = int_rows([a + [b] for a, b in rows])
+    if direction is None:
+        tab, dens = int_rows([[*a, b] for a, b in rows])
+    else:
+        tab, dens = int_rows([[*a, d, b] for (a, b), d in zip(rows, direction)])
     for i, s in enumerate(sigma):
         a, d = tab[i], dens[i]
-        row = [s * v for v in a[:n]] + [-s * v for v in a[:n]] + [0] * (2 * m) + [s * a[n]]
+        row = [s * v for v in a[:n]] + [-s * v for v in a[:n]] + [0] * (2 * m) + [
+            s * v for v in a[n:]]
         row[2 * n + i] = -s * d
         row[nstruct + i] = d
         tab[i] = row
     basis = [nstruct + i for i in range(m)]
-    ncols = nstruct + m
-    rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + [0])
+    ncols = nstruct + m  # the direction column and the rhs never enter
+    tail = [0] if direction is None else [0, 0]  # costs of the last columns
+    rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + tail)
     tab.append(rc)
     dens.append(rden)
 
@@ -147,21 +176,21 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
             pivot(tab, dens, i, j)
             basis[i] = j
 
-    # phase 2: real costs on structural columns, artificials forbidden
-    rc, rden = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m + 1))
+    # phase 2: real costs on structural columns, artificials forbidden; the
+    # rhs entry of the reduced-cost row is minus the objective value
+    rc, rden = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m) + tail)
     for j in range(nstruct, ncols):
         rc[j] = rden  # reduced cost 1 blocks artificials from re-entering
-    rc[-1] = 0
     tab[m], dens[m] = rc, rden
     entering = _run_simplex(tab, dens, basis, nstruct)
 
     if entering is not None:
-        direction = [Fraction(0)] * nstruct
-        direction[entering] = Fraction(1)
+        step = [Fraction(0)] * nstruct
+        step[entering] = Fraction(1)
         for i in range(m):
             if basis[i] < nstruct:
-                direction[basis[i]] = Fraction(-tab[i][entering], dens[i])
-        ray = [direction[k] - direction[n + k] for k in range(n)]
+                step[basis[i]] = Fraction(-tab[i][entering], dens[i])
+        ray = [step[k] - step[n + k] for k in range(n)]
         _check_ray(rows, obj, ray)
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
@@ -172,9 +201,15 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     point = [xstd[k] - xstd[n + k] for k in range(n)]
     value = sum((c * v for c, v in zip(obj, point)), Fraction(0))
     _check_point(rows, point)
-    if sense == "max":
-        value = -value
-    return LPOutcome(OPTIMAL, value, tuple(point), basis=tuple(sorted(basis)))
+    sign = -1 if sense == "max" else 1
+    line = (None, None, None)
+    if direction is not None:
+        rc, rden = tab[m], dens[m]
+        # a tuple from a list, not a generator: see linalg.int_rows
+        line = (tuple([(Fraction(tab[i][-1], dens[i]), Fraction(tab[i][-2], dens[i]))
+                       for i in sorted(range(m), key=basis.__getitem__)]),
+                Fraction(-sign * rc[-1], rden), Fraction(-sign * rc[-2], rden))
+    return LPOutcome(OPTIMAL, sign * value, tuple(point), None, tuple(sorted(basis)), *line)
 
 
 def _check_point(rows, point):
@@ -201,34 +236,3 @@ def _check_farkas(rows, farkas):
     if sum((y * b for y, (_, b) in zip(farkas, rows)), Fraction(0)) <= 0:
         raise ConsistencyError("Farkas combination is not positive")
 
-
-def standard_basis_columns(constraints, nvars, basis):
-    """Columns of the unscaled standard matrix [A | -A | -I] selected by
-    `basis`, as an m x m matrix (list of rows)."""
-    m = len(constraints)
-    cols = []
-    for k in basis:
-        if k < nvars:
-            col = [Fraction(a[k]) for a, _ in constraints]
-        elif k < 2 * nvars:
-            col = [-Fraction(a[k - nvars]) for a, _ in constraints]
-        else:
-            col = [Fraction(0)] * m
-            col[k - 2 * nvars] = Fraction(-1)
-        cols.append(col)
-    # transpose to rows
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-
-def standard_costs(objective, nvars, basis):
-    """Phase-2 costs of the basis columns for the internal min problem."""
-    obj = [Fraction(c) for c in objective]
-    out = []
-    for k in basis:
-        if k < nvars:
-            out.append(obj[k])
-        elif k < 2 * nvars:
-            out.append(-obj[k - nvars])
-        else:
-            out.append(Fraction(0))
-    return out

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from . import linalg
 from .curves import NOBody2D
 from .errors import WindowEmpty
 from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from . import linalg
 from .errors import (ConsistencyError, DimensionMismatch, DimensionTooLarge,

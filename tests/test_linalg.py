@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from okbodies.errors import ConsistencyError
-from okbodies.linalg import det_int, int_rows, mat_vec, nullspace, pivot, solve_square
+from okbodies.linalg import (det_int, int_rows, mat_vec, nullspace, pivot,
+                             primitive_direction, solve_square)
 
 F = Fraction
 
@@ -105,3 +107,24 @@ def test_integer_rows_hold_the_fraction_values():
     pivot(rows, dens, 1, 1)   # column 1 of row 1 becomes 1, column 1 of row 0 becomes 0
     values = [[F(v, d) for v in row] for row, d in zip(rows, dens)]
     assert values == [[F(1, 2), 0, F(4) - F(1, 5)], [0, 1, F(-3, 10)]]
+
+
+def test_primitive_direction():
+    assert primitive_direction([F(2, 3), F(-4, 9), 0]) == (3, -2, 0)
+    assert primitive_direction([F(0), 0, F(0)]) == (0, 0, 0)
+    assert primitive_direction([]) == ()
+    rng = random.Random(11)
+    for _ in range(300):
+        vec = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+        out = primitive_direction(vec)
+        assert all(v.denominator == 1 for v in out)
+        if any(vec):
+            # a positive multiple of vec with coprime entries
+            k = next(o / v for o, v in zip(out, vec) if v)
+            assert k > 0 and list(out) == [k * v for v in vec]
+            g = 0
+            for v in out:
+                g = math.gcd(g, int(v))
+            assert g == 1
+        else:
+            assert not any(out)

@@ -5,7 +5,7 @@ import pytest
 
 from okbodies.errors import InfeasibleEverywhere, UnboundedValue
 from okbodies.parametric import parametric_value_function
-from okbodies.simplex import OPTIMAL, solve_raw
+from okbodies.simplex import INFEASIBLE, OPTIMAL, solve_raw
 
 F = Fraction
 
@@ -15,6 +15,11 @@ def _lp_at(A, b0, b1, objective, sense, t):
     out = solve_raw(cons, objective, sense)
     assert out.status == OPTIMAL
     return out.value
+
+
+def _status_at(A, b0, b1, objective, sense, t):
+    cons = [(row, p + q * t) for row, p, q in zip(A, b0, b1)]
+    return solve_raw(cons, objective, sense).status
 
 
 def test_simple_growing_bound():
@@ -34,17 +39,75 @@ def test_breakpoint_from_competing_constraints():
     assert res.function.shape == "convex"
 
 
+def _rat(rng, lo, hi):
+    d = rng.choice((1, 2, 3, 4))
+    return F(rng.randint(lo * d, hi * d), d)
+
+
+def _random_family(rng, infinite):
+    """A box around the origin plus random rows a.x >= p + t*q.  With an
+    infinite interval every q is <= 0, so the rows only loosen as t grows;
+    the box rows widen or stay, so the value stays bounded.  Sometimes one
+    row is repeated, scaled, for degeneracy."""
+    n = rng.randint(1, 3)
+    A, b0, b1 = [], [], []
+    for i in range(n):
+        for sign in (1, -1):
+            e = [F(0)] * n
+            e[i] = F(sign)
+            A.append(e)
+            b0.append(-_rat(rng, 1, 4))
+            b1.append(-_rat(rng, 0, 2) if infinite else _rat(rng, -1, 1))
+    for _ in range(rng.randint(2, 6)):
+        A.append([_rat(rng, -2, 2) for _ in range(n)])
+        b0.append(_rat(rng, -3, 1))
+        b1.append(-_rat(rng, 0, 2) if infinite else _rat(rng, -2, 2))
+    repeated = rng.random() < 0.5
+    if repeated:
+        k = rng.randrange(len(A))
+        c = F(rng.randint(1, 4), rng.randint(1, 3))
+        A.append([c * v for v in A[k]])
+        b0.append(c * b0[k])
+        b1.append(c * b1[k])
+    obj = [_rat(rng, -2, 2) for _ in range(n)]
+    return A, b0, b1, obj, repeated
+
+
 def test_matches_direct_lp_at_random_t():
     rng = random.Random(21)
-    A = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)], [F(-1), F(-2)]]
-    b0 = [F(0), F(0), F(1), F(-10)]
-    b1 = [F(1), F(-1), F(2), F(-1)]
-    obj = [F(2), F(3)]
-    res = parametric_value_function(A, b0, b1, obj, "min", (F(0), F(2)))
-    lo, hi = res.feasible_start, res.feasible_end
-    for _ in range(20):
-        t = lo + (hi - lo) * F(rng.randint(1, 99), 100)
-        assert res.function.value_at(t) == _lp_at(A, b0, b1, obj, "min", t)
+    seen = set()
+    for _ in range(150):
+        infinite = rng.random() < 0.4
+        sense = rng.choice(("min", "max"))
+        A, b0, b1, obj, repeated = _random_family(rng, infinite)
+        t_min = _rat(rng, -2, 1)
+        t_max = None if infinite else t_min + _rat(rng, 1, 4)
+        try:
+            res = parametric_value_function(A, b0, b1, obj, sense, (t_min, t_max))
+        except InfeasibleEverywhere:
+            for t in (t_min, t_min + 1 if t_max is None else t_max):
+                assert _status_at(A, b0, b1, obj, sense, t) == INFEASIBLE
+            seen.add(("infeasible",))
+            continue
+        f = res.function
+        lo, end = res.feasible_start, res.feasible_end
+        assert (f.tail_slope is None) == (end is not None)
+        # the feasible window is maximal inside the interval
+        if lo > t_min:
+            assert _status_at(A, b0, b1, obj, sense, (t_min + lo) / 2) == INFEASIBLE
+        if end is not None and t_max is not None and end < t_max:
+            assert _status_at(A, b0, b1, obj, sense, (end + t_max) / 2) == INFEASIBLE
+        hi = end if end is not None else f.breakpoints[-1][0] + 3
+        abscissae = [t for t, _ in f.breakpoints]
+        abscissae += [lo + (hi - lo) * F(rng.randint(0, 100), 100) for _ in range(8)]
+        for t in abscissae:
+            assert f.value_at(t) == _lp_at(A, b0, b1, obj, sense, t)
+        seen.add((sense, infinite, len(f.breakpoints) > 2, repeated))
+    # every kind of family was met, with a kink, and some with a repeated row
+    for sense in ("min", "max"):
+        for infinite in (False, True):
+            assert any(k[:3] == (sense, infinite, True) for k in seen)
+    assert any(k[-1] is True for k in seen)
 
 
 def test_concave_max_with_tail():

@@ -192,3 +192,65 @@ def test_random_rational_lps_pinned():
     assert statuses == {OPTIMAL: 178, UNBOUNDED: 76, INFEASIBLE: 46}
     assert digest.hexdigest() == (
         "2c17853f879152543ece3780daf70f13941d64a9b81ae97d607900be7d65e4ea")
+
+
+# Right-hand-side direction: the extra tableau column must leave the pivot
+# path alone and give the optimal basis's value line along d.
+
+def test_direction_small_min_and_max():
+    # min x s.t. x >= 1 + 2s: x+ is basic at 1 with rate 2
+    out = solve_raw([([1], 1)], [1], "min", [2])
+    assert (out.value, out.basis, out.basic) == (1, (0,), ((1, 2),))
+    assert (out.tableau_value, out.slope) == (1, 2)
+    out = solve_raw([([1], 1)], [-1], "max", [2])
+    assert (out.value, out.tableau_value, out.slope) == (-1, -1, -2)
+
+
+def test_direction_unconstrained_and_non_optimal():
+    out = solve_raw([], [0, 0], "min", [])
+    assert (out.status, out.basic, out.tableau_value, out.slope) == (OPTIMAL, (), 0, 0)
+    out = solve_raw([([1], 1), ([-1], 0)], [1], "min", [1, 1])
+    assert out.status == INFEASIBLE
+    assert (out.basic, out.tableau_value, out.slope) == (None, None, None)
+    out = solve_raw([([1], 0)], [-1], "min", [1])
+    assert out.status == UNBOUNDED
+    assert (out.basic, out.tableau_value, out.slope) == (None, None, None)
+
+
+def _validity(basic):
+    """The s-interval on which every basic value p + s*q stays >= 0."""
+    lo = max((-p / q for p, q in basic if q > 0), default=None)
+    hi = min((-p / q for p, q in basic if q < 0), default=None)
+    return lo, hi
+
+
+def test_direction_gives_value_line_on_random_lps():
+    rng = random.Random(1609)
+    checked = optimal = 0
+    for _ in range(250):
+        cons, obj, sense = _random_rational_lp(rng)
+        d = [_rat(rng, -2, 2) for _ in cons]
+        plain = solve_raw(cons, obj, sense)
+        out = solve_raw(cons, obj, sense, d)
+        # same pivots, same outcome
+        assert (out.status, out.value, out.witness, out.certificate, out.basis) == (
+            plain.status, plain.value, plain.witness, plain.certificate, plain.basis)
+        if out.status != OPTIMAL:
+            assert (out.basic, out.tableau_value, out.slope) == (None, None, None)
+            continue
+        optimal += 1
+        assert out.tableau_value == out.value
+        assert len(out.basic) == len(cons)
+        lo, hi = _validity(out.basic)
+        assert (lo is None or lo <= 0) and (hi is None or hi >= 0)
+        left = lo if lo is not None else -F(rng.randint(1, 9), rng.randint(1, 4))
+        right = hi if hi is not None else F(rng.randint(1, 9), rng.randint(1, 4))
+        shifts = {left, right, F(0)}
+        shifts.update(left + (right - left) * F(rng.randint(1, 99), 100) for _ in range(3))
+        for s in shifts:
+            moved = [(a, b + s * di) for (a, b), di in zip(cons, d)]
+            again = solve_raw(moved, obj, sense)
+            assert again.status == OPTIMAL
+            assert again.value == out.value + s * out.slope
+            checked += 1
+    assert optimal >= 140 and checked >= 600

@@ -8,7 +8,7 @@ loops contribute nothing to the Laplacian.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
@@ -38,34 +38,18 @@ class Graph:
             norm.append((i, j))
         norm.sort()
         self.edges = tuple((vertices[i], vertices[j]) for i, j in norm)
-        n = len(vertices)
-        # adjacency counts excluding loops; loops tracked separately
-        adj = [[0] * n for _ in range(n)]
-        loops = [0] * n
+        # neighbours[i]: (j, number of edges ij) for j != i, in vertex
+        # order; loops never move chips, so they appear only in `edges`
+        counts = [Counter() for _ in vertices]
         for i, j in norm:
-            if i == j:
-                loops[i] += 1
-            else:
-                adj[i][j] += 1
-                adj[j][i] += 1
-        self.adjacency = adj
-        self.loops = loops
-        self._check_connected()
-
-    def _check_connected(self):
-        n = len(self.vertices)
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in range(n):
-                if self.adjacency[u][w] and not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        if not all(seen):
-            missing = [self.vertices[i] for i, s in enumerate(seen) if not s]
-            raise Disconnected(f"vertices unreachable from {self.vertices[0]!r}: {missing}")
+            if i != j:
+                counts[i][j] += 1
+                counts[j][i] += 1
+        self.neighbours = tuple(tuple(sorted(c.items())) for c in counts)
+        dist = self.distances_from(vertices[0])
+        if None in dist:
+            missing = [v for v, k in zip(vertices, dist) if k is None]
+            raise Disconnected(f"vertices unreachable from {vertices[0]!r}: {missing}")
 
     def index(self, v: str) -> int:
         try:
@@ -75,23 +59,22 @@ class Graph:
 
     def degree(self, v: str) -> int:
         """Non-loop degree (loops never move chips)."""
-        i = self.index(v)
-        return sum(self.adjacency[i])
+        return sum(m for _, m in self.neighbours[self.index(v)])
 
     def genus(self) -> int:
         """First Betti number |E| - |V| + 1 (loops included)."""
         return len(self.edges) - len(self.vertices) + 1
 
     def distances_from(self, v: str):
-        n = len(self.vertices)
-        dist = [None] * n
+        """BFS edge counts from v, None for unreachable vertices."""
+        dist = [None] * len(self.vertices)
         src = self.index(v)
         dist[src] = 0
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for w in range(n):
-                if self.adjacency[u][w] and dist[w] is None:
+            for w, _ in self.neighbours[u]:
+                if dist[w] is None:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
@@ -100,11 +83,10 @@ class Graph:
         """Integer Laplacian: L[i][i] = deg(i), L[i][j] = -#edges ij."""
         n = len(self.vertices)
         mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = sum(self.adjacency[i])
-            for j in range(n):
-                if i != j:
-                    mat[i][j] = -self.adjacency[i][j]
+        for i, nbrs in enumerate(self.neighbours):
+            for j, m in nbrs:
+                mat[i][j] = -m
+                mat[i][i] += m
         return mat
 
     def __eq__(self, other):
@@ -214,16 +196,9 @@ def laplacian(g: Graph, phi: GraphFunction) -> Divisor:
     edges vw.  Loops cancel; the output always has degree zero."""
     if phi.graph != g:
         raise UnknownVertex("function does not live on this graph")
-    n = len(g.vertices)
-    out = []
-    for i in range(n):
-        acc = Fraction(0)
-        for j in range(n):
-            mult = g.adjacency[i][j]
-            if mult:
-                acc += mult * (phi.values[i] - phi.values[j])
-        out.append(acc)
-    return Divisor(g, out)
+    vals = phi.values
+    return Divisor(g, [sum((m * (vals[i] - vals[j]) for j, m in nbrs), Fraction(0))
+                       for i, nbrs in enumerate(g.neighbours)])
 
 
 def graph_diameter(g: Graph) -> int:

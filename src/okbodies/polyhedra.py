@@ -22,7 +22,8 @@ Constraint = Tuple[Vector, Fraction]
 
 
 def _vec(values) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    # a tuple from a list, not a generator: see linalg.int_rows
+    return tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ Two stages, both in exact integer arithmetic:
   1. level firing: walking the BFS levels from the base outward-in, fire
      the sub-level set enough times (closed form, no iteration) to make
      every non-base vertex non-negative;
-  2. Dhar burning from the base; each surviving unburnt set is fired the
-     maximal number of times it tolerates at once.
+  2. Dhar burning from the base, incrementally: each newly burnt vertex
+     heats its unburnt neighbours once, so a round heats along each edge
+     at most once; each surviving unburnt set is fired the maximal number
+     of times it tolerates at once.
 """
 
 from __future__ import annotations
@@ -30,54 +32,55 @@ def q_reduced(g: Graph, lam: Divisor, base: Optional[str] = None) -> List[int]:
         raise NonIntegerDivisor("reduced divisors need integer coefficients")
     n = len(g.vertices)
     q = g.index(base) if base is not None else 0
-    adj = g.adjacency
+    nbrs = g.neighbours
     d = [int(v) for v in lam.values]
 
-    # stage 1: make d >= 0 away from q
+    # stage 1: make d >= 0 away from q.  Only the level k - 1 has edges
+    # leaving the ball {dist < k}, so firing the ball moves chips along
+    # exactly the edges between levels k - 1 and k.
     dist = g.distances_from(g.vertices[q])
-    maxd = max(dist)
-    for k in range(maxd, 0, -1):
-        level = [v for v in range(n) if dist[v] == k]
-        below = [v for v in range(n) if dist[v] == k - 1]
+    levels = [[] for _ in range(max(dist) + 1)]
+    for v, k in enumerate(dist):
+        levels[k].append(v)
+    for k in range(len(levels) - 1, 0, -1):
         firings = 0
-        for v in level:
+        for v in levels[k]:
             if d[v] < 0:
-                gain = sum(adj[v][w] for w in below)  # >= 1 by BFS
+                gain = sum(m for w, m in nbrs[v] if dist[w] == k - 1)  # >= 1 by BFS
                 firings = max(firings, (-d[v] + gain - 1) // gain)
         if firings:
-            inside = [v for v in range(n) if dist[v] < k]
-            inside_set = set(inside)
-            for v in inside:
-                out = sum(adj[v][w] for w in range(n) if w not in inside_set)
-                d[v] -= firings * out
-            for v in range(n):
-                if v not in inside_set:
-                    d[v] += firings * sum(adj[v][w] for w in inside)
+            for v in levels[k - 1]:
+                for w, m in nbrs[v]:
+                    if dist[w] == k:
+                        d[v] -= firings * m
+                        d[w] += firings * m
 
-    # stage 2: Dhar burning from q
+    # stage 2: Dhar burning from q.  heat[v] counts the edges from v to
+    # the burnt set; a vertex burns once its heat exceeds its chips.
     while True:
+        heat = [0] * n
         burnt = [False] * n
         burnt[q] = True
-        changed = True
-        while changed:
-            changed = False
-            for v in range(n):
-                if not burnt[v]:
-                    heat = sum(adj[v][w] for w in range(n) if burnt[w])
-                    if heat > d[v]:
-                        burnt[v] = True
-                        changed = True
+        stack = [q]
+        while stack:
+            for w, m in nbrs[stack.pop()]:
+                if not burnt[w]:
+                    heat[w] += m
+                    if heat[w] > d[w]:
+                        burnt[w] = True
+                        stack.append(w)
         unburnt = [v for v in range(n) if not burnt[v]]
         if not unburnt:
             return d
-        outdeg = {v: sum(adj[v][w] for w in range(n) if burnt[w]) for v in unburnt}
-        times = min((d[v] // outdeg[v] for v in unburnt if outdeg[v] > 0), default=1)
-        times = max(times, 1)
+        # the graph is connected, so some unburnt vertex is heated, and
+        # each heated one holds at least its heat: times >= 1
+        times = min(d[v] // heat[v] for v in unburnt if heat[v])
         for v in unburnt:
-            d[v] -= times * outdeg[v]
-        for w in range(n):
-            if burnt[w]:
-                d[w] += times * sum(adj[w][v] for v in unburnt)
+            if heat[v]:
+                d[v] -= times * heat[v]
+                for w, m in nbrs[v]:
+                    if burnt[w]:
+                        d[w] += times * m
 
 
 def has_nonnegative_rank(g: Graph, lam: Divisor, base: Optional[str] = None) -> bool:

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, DimensionMismatch
@@ -143,6 +145,9 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         tab, dens = int_rows([[*a, b] for a, b in rows])
     else:
         tab, dens = int_rows([[*a, d, b] for (a, b), d in zip(rows, direction)])
+    # the given rows as integer rows (a, [d,] b), kept for the certificate
+    # checks; the rewrite below replaces the rows of `tab`, never mutates them
+    given, given_dens = tab[:], dens[:]
     for i, s in enumerate(sigma):
         a, d = tab[i], dens[i]
         row = [s * v for v in a[:n]] + [-s * v for v in a[:n]] + [0] * (2 * m) + [
@@ -162,9 +167,9 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     if rc[-1] < 0:
         # phase-1 optimum -rcost[-1] > 0.  Farkas from phase-1 duals:
         # y_i = 1 - reduced cost of artificial i
-        farkas = [sigma[i] * Fraction(rden - rc[nstruct + i], rden) for i in range(m)]
-        _check_farkas(rows, farkas)
-        return LPOutcome(INFEASIBLE, certificate=tuple(farkas))
+        y = [sigma[i] * (rden - rc[nstruct + i]) for i in range(m)]
+        _check_farkas(given, given_dens, n, y)
+        return LPOutcome(INFEASIBLE, certificate=tuple([Fraction(v, rden) for v in y]))
 
     # drive artificials out of the basis (rows are always independent here
     # because of the slack block, so a pivot column always exists)
@@ -191,7 +196,7 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
             if basis[i] < nstruct:
                 step[basis[i]] = Fraction(-tab[i][entering], dens[i])
         ray = [step[k] - step[n + k] for k in range(n)]
-        _check_ray(rows, obj, ray)
+        _check_ray(given, obj, ray)
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
     xstd = [Fraction(0)] * nstruct
@@ -200,7 +205,7 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
             xstd[basis[i]] = Fraction(tab[i][-1], dens[i])
     point = [xstd[k] - xstd[n + k] for k in range(n)]
     value = sum((c * v for c, v in zip(obj, point)), Fraction(0))
-    _check_point(rows, point)
+    _check_point(given, point)
     sign = -1 if sense == "max" else 1
     line = (None, None, None)
     if direction is not None:
@@ -212,27 +217,43 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     return LPOutcome(OPTIMAL, sign * value, tuple(point), None, tuple(sorted(basis)), *line)
 
 
-def _check_point(rows, point):
-    for a, b in rows:
-        if sum((ai * xi for ai, xi in zip(a, point)), Fraction(0)) < b:
+# The checks run on the given rows as integer rows (numerators of a, [d,]
+# b over a positive row denominator), so a.x >= b reads A.x >= B for the
+# integer row (A, B), and every rational vector is scaled to integers by a
+# positive factor first.
+
+def _dot(row, x):
+    """Dot product of integer vectors, over the first len(x) entries of row."""
+    return sum(map(mul, row, x))
+
+
+def _check_point(ints, point):
+    (x,), (den,) = int_rows([point])
+    for row in ints:
+        if _dot(row, x) < row[-1] * den:
             raise ConsistencyError("simplex witness violates a constraint")
 
 
-def _check_ray(rows, obj, ray):
-    for a, _ in rows:
-        if sum((ai * ri for ai, ri in zip(a, ray)), Fraction(0)) < 0:
+def _check_ray(ints, obj, ray):
+    (r,), _ = int_rows([ray])
+    for row in ints:
+        if _dot(row, r) < 0:
             raise ConsistencyError("unbounded ray leaves the feasible cone")
-    if sum((c * r for c, r in zip(obj, ray)), Fraction(0)) >= 0:
+    (c,), _ = int_rows([obj])
+    if _dot(c, r) >= 0:
         raise ConsistencyError("unbounded ray does not improve the objective")
 
 
-def _check_farkas(rows, farkas):
-    if any(y < 0 for y in farkas):
+def _check_farkas(ints, dens, n, y):
+    """y: the Farkas vector's numerators over one positive denominator.
+    Row i stands for (a_i, b_i) times dens[i], so z_i = y_i/dens[i] over
+    the denominator lcm(dens) must give sum z_i A_i = 0, sum z_i B_i > 0."""
+    if any(v < 0 for v in y):
         raise ConsistencyError("Farkas vector has a negative entry")
-    n = len(rows[0][0])
+    big = lcm(*dens)
+    z = [v * (big // den) for v, den in zip(y, dens)]
     for k in range(n):
-        if sum((y * a[k] for y, (a, _) in zip(farkas, rows)), Fraction(0)) != 0:
+        if sum(zi * row[k] for zi, row in zip(z, ints)) != 0:
             raise ConsistencyError("Farkas combination does not vanish")
-    if sum((y * b for y, (_, b) in zip(farkas, rows)), Fraction(0)) <= 0:
+    if sum(zi * row[-1] for zi, row in zip(z, ints)) <= 0:
         raise ConsistencyError("Farkas combination is not positive")
-

@@ -29,7 +29,7 @@ from .errors import (ConsistencyError, DimensionMismatch, DimensionTooLarge,
                      OutsideGenericPolytope, UnboundedGenericPolytope)
 from .polyhedra import (HPolyhedron, VPolyhedron, in_cone, affine_image,
                         enumerate_v_rep, project_out, solve_lp, vrep_equal)
-from .simplex import OPTIMAL, UNBOUNDED
+from .simplex import OPTIMAL
 
 IntVec = Tuple[int, ...]
 
@@ -116,19 +116,14 @@ class ToricFlag:
 
 
 def build_generic_polytope(model: ToricModel) -> HPolyhedron:
-    """P_D = {m : <m, u_sigma> >= -a_sigma}; must be bounded."""
-    d = model.ambient_dim
+    """P_D = {m : <m, u_sigma> >= -a_sigma}, bounded with no LP to check
+    it: ToricModel raises UnboundedGenericPolytope unless the rays
+    positively span R^d, and then a recession direction r of P_D
+    (<r, u_sigma> >= 0 for every ray) has -r = sum lambda_sigma u_sigma
+    with lambda >= 0, so -<r, r> >= 0 and r = 0."""
     rows = [(tuple(Fraction(x) for x in u), Fraction(-a))
             for u, a in model.generic_rays]
-    poly = HPolyhedron(d, rows)
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        for sense in ("min", "max"):
-            if solve_lp(poly, e, sense).status == UNBOUNDED:
-                raise UnboundedGenericPolytope(
-                    f"generic polytope unbounded in coordinate {i}")
-    return poly
+    return HPolyhedron(model.ambient_dim, rows)
 
 
 def build_model_polyhedron(model: ToricModel) -> HPolyhedron:

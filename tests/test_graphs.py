@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,45 @@ def test_diameter_bound():
 def test_disconnected_rejected():
     with pytest.raises(Disconnected):
         Graph(["a", "b", "c"], [("a", "b")])
+
+
+def test_disconnected_message():
+    with pytest.raises(Disconnected) as err:
+        Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d"), ("c", "c")])
+    assert str(err.value) == "vertices unreachable from 'a': ['c', 'd']"
+
+
+def test_quartic_neighbours():
+    assert quartic().neighbours == (((1, 2), (2, 2)), ((0, 2), (3, 1)),
+                                    ((0, 2), (3, 1)), ((1, 1), (2, 1)))
+
+
+def test_neighbours_match_edge_multiset():
+    # symmetric, loops excluded, parallel edges counted, in vertex order
+    rng = random.Random(19)
+    loops = parallels = 0
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=6, max_extra_edges=6)
+        expected = Counter()
+        for u, w in g.edges:
+            if u == w:
+                loops += 1
+            else:
+                expected[g.index(u), g.index(w)] += 1
+                expected[g.index(w), g.index(u)] += 1
+        parallels += any(m > 1 for m in expected.values())
+        assert len(g.neighbours) == len(g.vertices)
+        got = Counter()
+        for i, nbrs in enumerate(g.neighbours):
+            assert [j for j, _ in nbrs] == sorted({j for j, _ in nbrs})
+            for j, m in nbrs:
+                assert j != i and m > 0
+                got[i, j] += m
+        assert got == expected
+        assert [g.degree(v) for v in g.vertices] == [
+            sum(m for (i, _), m in expected.items() if i == k)
+            for k in range(len(g.vertices))]
+    assert loops > 20 and parallels > 20
 
 
 def test_unknown_vertex():

@@ -97,3 +97,43 @@ def test_rank_job_verdict_matches_has_nonnegative_rank():
         assert result.result["rank_nonnegative"] == has_nonnegative_rank(g, lam, base)
         negative += lam.degree() < 0
     assert negative >= 10
+
+
+def _edge_counts(g):
+    """Adjacency counts read from the edge multiset, loops dropped."""
+    n = len(g.vertices)
+    adj = [[0] * n for _ in range(n)]
+    for u, w in g.edges:
+        i, j = g.index(u), g.index(w)
+        if i != j:
+            adj[i][j] += 1
+            adj[j][i] += 1
+    return adj
+
+
+def test_reduced_divisor_specification():
+    # the q-reduced divisor: non-negative off q, no nonempty S in V - {q}
+    # can fire (some v in S holds fewer chips than its edges leaving S),
+    # and chip-firing equivalent to the input
+    rng = random.Random(53)
+    loops = parallels = 0
+    for _ in range(120):
+        g = random_graph(rng, max_vertices=6, max_extra_edges=6)
+        n = len(g.vertices)
+        adj = _edge_counts(g)
+        loops += any(u == w for u, w in g.edges)
+        parallels += any(m > 1 for row in adj for m in row)
+        oracle = RankOracle(g)
+        lam = [rng.randint(-5, 5) for _ in g.vertices]
+        for base in g.vertices:
+            q = g.index(base)
+            red = q_reduced(g, Divisor(g, lam), base)
+            others = [v for v in range(n) if v != q]
+            assert all(red[v] >= 0 for v in others)
+            for size in range(1, n):
+                for subset in itertools.combinations(others, size):
+                    assert any(red[v] < sum(adj[v][w] for w in range(n) if w not in subset)
+                               for v in subset), (g, lam, base, subset)
+            assert sum(red) == sum(lam)
+            assert oracle._key(red[1:]) == oracle._key(lam[1:])
+    assert loops > 20 and parallels > 20

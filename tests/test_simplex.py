@@ -2,7 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from okbodies.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, solve_raw)
+from okbodies.errors import ConsistencyError
+from okbodies.linalg import int_rows
+from okbodies.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, _check_farkas,
+                              _check_point, _check_ray, solve_raw)
 
 F = Fraction
 
@@ -254,3 +257,48 @@ def test_direction_gives_value_line_on_random_lps():
             assert again.value == out.value + s * out.slope
             checked += 1
     assert optimal >= 140 and checked >= 600
+
+
+# The certificate checks read the constraints as integer rows; their
+# verdicts must be those of the rational definitions, on true certificates
+# and on perturbed ones.
+
+def _rejects(check, *args):
+    try:
+        check(*args)
+    except ConsistencyError:
+        return True
+    return False
+
+
+def _dot(a, x):
+    return sum((u * v for u, v in zip(a, x)), F(0))
+
+
+def test_integer_certificate_checks_match_rational_definitions():
+    rng = random.Random(20162)
+    verdicts = set()
+    for _ in range(300):
+        cons, obj, sense = _random_rational_lp(rng)
+        out = solve_raw(cons, obj, sense)
+        ints, dens = int_rows([[*a, b] for a, b in cons])
+        cost = obj if sense == "min" else [-c for c in obj]
+        vec = out.witness or out.certificate
+        bent = list(vec)
+        bent[rng.randrange(len(bent))] += F(rng.choice((-1, 1)), rng.randint(1, 6))
+        for v in (vec, bent):
+            if out.status == OPTIMAL:
+                ok = all(_dot(a, v) >= b for a, b in cons)
+                rejected = _rejects(_check_point, ints, v)
+            elif out.status == UNBOUNDED:
+                ok = all(_dot(a, v) >= 0 for a, _ in cons) and _dot(cost, v) < 0
+                rejected = _rejects(_check_ray, ints, cost, v)
+            else:
+                ok = (all(y >= 0 for y in v)
+                      and all(_dot(v, col) == 0 for col in zip(*(a for a, _ in cons)))
+                      and _dot(v, [b for _, b in cons]) > 0)
+                (num,), _ = int_rows([v])
+                rejected = _rejects(_check_farkas, ints, dens, len(obj), num)
+            assert rejected != ok
+            verdicts.add((out.status, ok))
+    assert len(verdicts) == 6

@@ -60,13 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expected_kind(args) -> str:
-    return {"linsys": "linsys", "rank": "rank", "curve-body": "curve-body",
-            "toric-body": "toric-body", "verify": "verify"}[args.command]
-
-
 def _check_match(args, job) -> None:
-    if job.kind != _expected_kind(args):
+    if job.kind != args.command:
         raise OkbodiesError(
             f"job kind {job.kind!r} does not match subcommand {args.command!r}")
     if args.command == "linsys" and job.payload.get("op") != args.op:

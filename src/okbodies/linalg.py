@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ConsistencyError
 
@@ -151,7 +152,7 @@ def primitive_direction(vec):
 
 
 def dot(a, b):
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b), Fraction(0))
 
 
 def mat_vec(matrix, vec):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from . import linalg
 from .errors import EmptySystemError, UnknownVertex
 from .graphs import Divisor, Graph, GraphFunction, laplacian
-from .polyhedra import HPolyhedron, solve_lp
-from .simplex import INFEASIBLE, OPTIMAL
+from .polyhedra import HPolyhedron
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,34 @@ def pointwise_min(phi1: GraphFunction, phi2: GraphFunction) -> GraphFunction:
 def minimal_element(spec: LinearSystemSpec) -> Optional[GraphFunction]:
     """Coordinatewise minimum of L+(Lam), or None when the system is empty.
 
-    Computed by one LP per vertex; membership of the assembled vector is a
-    consequence of min-closure and is checked, not assumed."""
+    The Laplacian is a Z-matrix, so this is the least solution of
+    LCP(laplacian, Lam) (Cottle & Veinott 1972), and Chandrasekaran's
+    algorithm finds it: z is 0 off an active set J and solves
+    laplacian_JJ z_J = -Lam_J on it; each round adds to J every vertex where
+    laplacian(z) + Lam < 0.  Proper principal submatrices of a connected
+    Laplacian are nonsingular M-matrices, so z rises and stays below the
+    least element pi, and J stays inside the support of pi.  pi has min 0
+    (constants are in the kernel), so J = V means the system is empty.
+    Membership of the result is checked, not assumed."""
     if not spec.effective:
         raise ValueError("minimal elements exist only for effective systems")
-    poly = build_system(spec)
-    n = poly.dimension
-    values = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        out = solve_lp(poly, e, "min")
-        if out.status == INFEASIBLE:
+    lap = spec.graph.laplacian_matrix()
+    lam = spec.lam.values
+    n = len(lam)
+    z = [Fraction(0)] * n
+    active = []
+    while True:
+        entering = [i for i in range(n) if linalg.dot(lap[i], z) + lam[i] < 0]
+        if not entering:
+            break
+        active += entering
+        if len(active) == n:
             return None
-        if out.status != OPTIMAL:
-            raise AssertionError("per-coordinate minimum cannot be unbounded below 0")
-        values.append(out.value)
-    pi = GraphFunction(spec.graph, values)
+        sol = linalg.solve_square([[lap[i][j] for j in active] for i in active],
+                                  [-lam[i] for i in active])
+        for i, v in zip(active, sol):
+            z[i] = v
+    pi = GraphFunction(spec.graph, z)
     if not member(spec, pi):
         raise AssertionError("minimal element failed the membership check")
     return pi

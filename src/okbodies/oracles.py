@@ -3,17 +3,22 @@
 Each oracle recomputes a quantity by a route deliberately different from
 the production code: subset enumeration instead of the closed form,
 effective-divisor enumeration plus exact lattice algebra instead of
-burning, boxed integer search instead of anything clever.  Keep them
-dumb; their value is independence.
+burning, boxed integer search instead of anything clever, one LP per
+vertex instead of principal pivoting.  Keep them dumb; their value is
+independence.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from . import linalg
-from .graphs import Divisor, Graph, graph_diameter
+from .graphs import Divisor, Graph, GraphFunction, graph_diameter
+from .linsys import LinearSystemSpec, build_system, member
+from .polyhedra import solve_lp
+from .simplex import INFEASIBLE, OPTIMAL
 
 
 def m_statistic_bruteforce(f: Divisor) -> Fraction:
@@ -26,6 +31,30 @@ def m_statistic_bruteforce(f: Divisor) -> Fraction:
             if s > best:
                 best = s
     return best
+
+
+def minimal_element_lp(spec: LinearSystemSpec) -> Optional[GraphFunction]:
+    """Coordinatewise minimum of L+(Lam) by one LP per vertex, or None when
+    the system is empty; membership of the assembled vector is a
+    consequence of min-closure and is checked, not assumed."""
+    if not spec.effective:
+        raise ValueError("minimal elements exist only for effective systems")
+    poly = build_system(spec)
+    n = poly.dimension
+    values = []
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(1)
+        out = solve_lp(poly, e, "min")
+        if out.status == INFEASIBLE:
+            return None
+        if out.status != OPTIMAL:
+            raise AssertionError("per-coordinate minimum cannot be unbounded below 0")
+        values.append(out.value)
+    pi = GraphFunction(spec.graph, values)
+    if not member(spec, pi):
+        raise AssertionError("minimal element failed the membership check")
+    return pi
 
 
 class RankOracle:

@@ -36,10 +36,6 @@ class ParametricResult:
     feasible_end: Optional[Fraction]  # None = +infinity
     function: PiecewiseLinearFunction
 
-    @property
-    def feasible_subinterval(self):
-        return (self.feasible_start, self.feasible_end)
-
 
 def parametric_value_function(A: Sequence[Sequence[Fraction]],
                               b0: Sequence[Fraction],
@@ -112,11 +108,7 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
     if sense == "max":
         pieces = [(lo, hi, -a, -b) for (lo, hi, a, b) in pieces]
         tail = None if tail is None else -tail
-    finite_pieces = [(lo, (hi if hi is not None else lo + 1), a, b) if hi is not None else
-                     (lo, None, a, b) for (lo, hi, a, b) in pieces]
-    plf = PiecewiseLinearFunction.from_pieces(
-        [(lo, hi, a, b) for (lo, hi, a, b) in finite_pieces],
-        shape=shape, tail_slope=tail)
+    plf = PiecewiseLinearFunction.from_pieces(pieces, shape=shape, tail_slope=tail)
     return ParametricResult(t_lo, t_hi, plf)
 
 

@@ -167,27 +167,37 @@ def project_out(p: HPolyhedron, var_indices: Sequence[int]) -> HPolyhedron:
 def enumerate_v_rep(p: HPolyhedron) -> VPolyhedron:
     """Exact vertices and extreme rays by brute force over constraint
     subsets.  A non-pointed polyhedron is split into a pointed section
-    plus its lineality directions (emitted as opposite ray pairs)."""
+    plus its lineality directions (emitted as opposite ray pairs).
+
+    The result is canonical as built, with no LP:
+    - `work` is pointed: L, the lineality space of p, meets L^perp, which
+      the section rows cut out, only in 0.
+    - A feasible solution of a nonsingular d-subset of rows is a vertex,
+      and a nonempty pointed polyhedron has one; so finding no vertex means
+      p (which is work + L) is empty.
+    - A cone ray tight at a rank-(d-1) subset is extreme in the pointed
+      recession cone, so it is not in the cone of the other rays, and a
+      vertex of work is not in the hull of the others plus that cone.
+    - The lineality pairs lie in L and the section lies in L^perp, so adding
+      the pairs keeps both facts: canonicalize_vrep would drop nothing.
+    - For d = 0 the vertex loop tries the empty subset, whose solution ()
+      is a vertex iff every row reads 0 >= b; only the ray loop is skipped.
+    """
     d = p.dimension
     if d > 10:
         raise DimensionTooLarge(f"vertex enumeration capped at dimension 10, got {d}")
-    if p.is_empty():
-        return VPolyhedron([], [])
-    if d == 0:
-        return VPolyhedron([()], [])
 
     amat = [list(a) for a, _ in p.constraints]
     lineality = linalg.nullspace(amat, ncols=d)
     work = p
-    extra_rays = []
+    rays = set()
     if lineality:
         section = []
         for vec in lineality:
             vec = linalg.primitive_direction(vec)
-            extra_rays.append(vec)
-            extra_rays.append(tuple(-v for v in vec))
-            section.append((vec, Fraction(0)))
-            section.append((tuple(-v for v in vec), Fraction(0)))
+            for r in (vec, tuple(-v for v in vec)):
+                rays.add(r)
+                section.append((r, Fraction(0)))
         work = p.with_constraints(section)
 
     cons = work.constraints
@@ -196,32 +206,21 @@ def enumerate_v_rep(p: HPolyhedron) -> VPolyhedron:
         mat = [list(cons[i][0]) for i in subset]
         rhs = [cons[i][1] for i in subset]
         sol = linalg.solve_square(mat, rhs)
-        if sol is None:
-            continue
-        if work.contains(sol):
+        if sol is not None and work.contains(sol):
             vertices.add(tuple(sol))
+    if not vertices:
+        return VPolyhedron([], [])
 
-    rays = set(extra_rays)
-    hom = [(a, Fraction(0)) for a, _ in cons]
-    if d == 1:
-        candidates = [(Fraction(1),), (Fraction(-1),)]
-        for r in candidates:
-            if all(linalg.dot(a, r) >= 0 for a, _ in hom) and any(v != 0 for v in r):
-                rays.add(r)
-    else:
-        for subset in itertools.combinations(range(len(cons)), d - 1):
-            mat = [list(cons[i][0]) for i in subset]
-            null = linalg.nullspace(mat, ncols=d)
-            if len(null) != 1:
-                continue
-            r = linalg.primitive_direction(null[0])
-            if all(v == 0 for v in r):
-                continue
-            for cand in (r, tuple(-v for v in r)):
-                if all(linalg.dot(a, cand) >= 0 for a, _ in cons):
-                    rays.add(cand)
-    rays = {r for r in rays if any(v != 0 for v in r)}
-    return canonicalize_vrep(VPolyhedron(sorted(vertices), sorted(rays)))
+    for subset in itertools.combinations(range(len(cons)), d - 1) if d else ():
+        mat = [list(cons[i][0]) for i in subset]
+        null = linalg.nullspace(mat, ncols=d)
+        if len(null) != 1:
+            continue
+        r = linalg.primitive_direction(null[0])
+        for cand in (r, tuple(-v for v in r)):
+            if all(linalg.dot(a, cand) >= 0 for a, _ in cons):
+                rays.add(cand)
+    return VPolyhedron(sorted(vertices), sorted(rays))
 
 
 def affine_image(v: VPolyhedron, linear, offset) -> VPolyhedron:

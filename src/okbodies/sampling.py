@@ -19,7 +19,7 @@ from .simplex import OPTIMAL
 
 
 def random_graph(rng: random.Random, max_vertices: int = 5,
-                 max_extra_edges: int = 3, allow_loops: bool = True) -> Graph:
+                 max_extra_edges: int = 3) -> Graph:
     """Connected multigraph: a random spanning tree plus a few extra
     edges (parallels and loops allowed)."""
     n = rng.randint(1, max_vertices)
@@ -28,11 +28,7 @@ def random_graph(rng: random.Random, max_vertices: int = 5,
     for i in range(1, n):
         edges.append((names[rng.randrange(i)], names[i]))
     for _ in range(rng.randint(0, max_extra_edges)):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if a == b and not allow_loops:
-            continue
-        edges.append((names[a], names[b]))
+        edges.append((names[rng.randrange(n)], names[rng.randrange(n)]))
     return Graph(names, edges)
 
 

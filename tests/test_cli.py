@@ -1,12 +1,15 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
+from okbodies import curves
 from okbodies.cli import main
 from okbodies.errors import BadRational, ConsistencyError, SchemaError
 from okbodies.jobs import parse_job, run_job
+from okbodies.plf import PiecewiseLinearFunction
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
@@ -207,3 +210,68 @@ def test_internal_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
     if not isinstance(exc, ConsistencyError):
         assert err.startswith("internal error: ")
     assert not out.exists()
+
+
+def _verify_job(tmp_path, payload):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"kind": "verify", "payload": payload}))
+    out = tmp_path / "r.json"
+    code = run(["verify", "--input", str(job), "--output", str(out)])
+    result = read_result(out)["canonical"]["result"]
+    return code, [(c["name"], c["pass"], c["detail"]) for c in result["checks"]], result["pass"]
+
+
+TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
+
+
+def test_verify_linsys_nonempty(tmp_path):
+    code, checks, ok = _verify_job(tmp_path, {
+        "target": "linsys", "graph": TRIANGLE, "divisor": {"a": 2, "b": "-1/2", "c": 0}})
+    assert (code, ok) == (0, True)
+    assert checks == [("minimal-element-member", True, ""),
+                      ("minimal-below-samples", True, ""),
+                      ("pointwise-min-closure", True, "")]
+
+
+def test_verify_linsys_empty(tmp_path):
+    code, checks, ok = _verify_job(tmp_path, {
+        "target": "linsys", "graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+        "divisor": {"a": -1, "b": 0}})
+    assert (code, ok) == (0, True)
+    assert checks == [("minimal-element", True, "empty system")]
+
+
+@pytest.mark.parametrize("divisor, base, verdict", [
+    ({"a": 2, "b": -1, "c": 0}, None, "True"),
+    ({"a": 1, "b": -1, "c": 0}, "b", "False"),
+])
+def test_verify_rank(tmp_path, divisor, base, verdict):
+    payload = {"target": "rank", "graph": TRIANGLE, "divisor": divisor}
+    if base is not None:
+        payload["base"] = base
+    code, checks, ok = _verify_job(tmp_path, payload)
+    assert (code, ok) == (0, True)
+    assert checks == [("dhar-vs-class-enumeration", True,
+                       f"dhar={verdict} oracle={verdict}")]
+
+
+@pytest.mark.parametrize("breakpoints, at", [
+    ([(0, 0), (2, 0), (4, 1)], 4),                     # a value differs
+    ([(0, 0), (1, 0), (4, Fraction(1, 2))], 1),        # an abscissa differs
+    ([(0, 0), (2, 0), (4, Fraction(1, 2)), (5, 2)], 5),  # one has more breakpoints
+])
+def test_verify_names_the_first_disagreement(tmp_path, monkeypatch, breakpoints, at):
+    wrong = PiecewiseLinearFunction(tuple(breakpoints), shape="convex")
+    monkeypatch.setattr(curves, "tropical_body_projection", lambda job: wrong)
+    path = jobpath("verify-quartic-tropical.json")
+    with open(path) as fh:
+        (cjob,) = parse_job(fh.read()).parsed
+    report = curves.cross_verify(cjob)
+    assert report.agree is False
+    assert report.first_disagreement == at
+    out = tmp_path / "r.json"
+    assert run(["verify", "--input", path, "--output", str(out)]) == 1
+    result = read_result(out)["canonical"]["result"]
+    assert result["pass"] is False
+    assert result["checks"][0] == {"name": "dual-algorithm", "pass": False,
+                                   "detail": f"first disagreement at t = {at}"}

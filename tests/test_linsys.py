@@ -8,7 +8,9 @@ from okbodies.graphs import Divisor, Graph, GraphFunction, laplacian
 from okbodies.linsys import (EnrichedSystemSpec, LinearSystemSpec,
                              build_system, enriched_system, member,
                              minimal_element, pointwise_min, zariski_shift)
-from okbodies.sampling import random_divisor, random_graph, random_member
+from okbodies.oracles import minimal_element_lp
+from okbodies.sampling import (random_divisor, random_graph, random_member,
+                               random_rational)
 from tests.test_graphs import quartic
 
 F = Fraction
@@ -102,6 +104,28 @@ def test_minimal_element_below_members():
         phi = random_member(rng, spec, steps=4)
         assert all(a >= b for a, b in zip(phi.values, pi.values))
         done += 1
+
+
+def test_minimal_element_matches_lp_oracle():
+    # principal pivoting against one LP per vertex, on rational divisors
+    rng = random.Random(29)
+    empty = 0
+    for _ in range(400):
+        g = random_graph(rng, max_vertices=7, max_extra_edges=5)
+        lam = Divisor(g, [random_rational(rng, -3, 4, 5) for _ in g.vertices])
+        spec = LinearSystemSpec(g, lam)
+        pi = minimal_element(spec)
+        assert pi == minimal_element_lp(spec)
+        empty += pi is None
+    assert 100 <= empty <= 300
+
+
+def test_minimal_element_needs_an_effective_system():
+    g = Graph(["a", "b"], [("a", "b")])
+    spec = LinearSystemSpec(g, Divisor(g, [1, 0]), effective=False)
+    for route in (minimal_element, minimal_element_lp):
+        with pytest.raises(ValueError):
+            route(spec)
 
 
 def test_enriched_system_membership():

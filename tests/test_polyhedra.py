@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from okbodies import linalg
 from okbodies.errors import DimensionTooLarge
-from okbodies.polyhedra import (HPolyhedron, VPolyhedron, enumerate_v_rep,
-                                fm_eliminate, project_out, solve_lp,
-                                vrep_equal)
+from okbodies.polyhedra import (HPolyhedron, VPolyhedron, canonicalize_vrep,
+                                enumerate_v_rep, fm_eliminate, project_out,
+                                solve_lp, vrep_equal)
 from okbodies.simplex import INFEASIBLE, OPTIMAL
 
 F = Fraction
@@ -73,6 +74,43 @@ def test_round_trip_membership():
     for _ in range(200):
         pt = (F(rng.randint(-12, 12), 3), F(rng.randint(-12, 12), 3))
         assert p.contains(pt) == v.contains(pt)
+
+
+def _random_hpolyhedron(rng, d):
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        a = [rng.randint(-2, 2) for _ in range(d)]
+        rows.append((a, F(rng.randint(-6, 6), rng.randint(1, 3))))
+    if rows and rng.random() < 0.3:
+        # an opposite row: slabs, hyperplanes and empty pairs
+        a, b = rows[0]
+        rows.append(([-x for x in a], -b - rng.randint(-2, 2)))
+    return HPolyhedron(d, rows)
+
+
+def test_enumerate_v_rep_invariants():
+    rng = random.Random(31)
+    seen = {"empty": 0, "nonpointed": 0}
+    for k in range(400):
+        d = k % 4
+        p = _random_hpolyhedron(rng, d)
+        v = enumerate_v_rep(p)
+        canon = canonicalize_vrep(v)
+        assert (v.vertices, v.rays) == (canon.vertices, canon.rays)
+        assert v.is_empty() == p.is_empty()
+        if v.is_empty():
+            assert v.rays == ()
+            seen["empty"] += 1
+            continue
+        assert all(p.contains(x) for x in v.vertices)
+        assert all(linalg.dot(a, r) >= 0 for r in v.rays for a, _ in p.constraints)
+        if linalg.nullspace([list(a) for a, _ in p.constraints], ncols=d):
+            seen["nonpointed"] += 1
+        # nothing is missing: membership agrees on points around the vertices
+        for _ in range(3):
+            x = [c + F(rng.randint(-8, 8), 2) for c in v.vertices[0]]
+            assert v.contains(x) == p.contains(x)
+    assert seen["empty"] >= 80 and seen["nonpointed"] >= 40
 
 
 def test_vrep_equal_canonicalization():

@@ -14,8 +14,18 @@ the divisor, and flag data.  Two flag regimes:
       b(t) = Lam(v) + max laplacian(phi)(v) over members with phi(v) = t;
       b is nondecreasing, eventually constant; unbounded direction (1, 0).
 
-Each body is computed twice, by parametric LP and by Fourier-Motzkin
-projection, and the two answers must agree exactly.
+Three routes compute the boundary function, and they must agree exactly:
+
+  least elements (production): the systems are min-closed, so a(t) is the
+      flag-vertex value of the least element of L+(Lam - t*Lam1), and b(t)
+      is read off the least element of the slice phi(v) = t.  Both move
+      along a monotone path of Z-matrix LCP solutions
+      (`linsys.least_element_path`): at most |V| pieces, one exact
+      elimination each.
+  parametric LP (the default cross-check of `compute_body`): optimal-basis
+      continuation over the same family, with its own feasible range.
+  Fourier-Motzkin projection (the oracle of `cross_verify` and `verify`):
+      exponential in |V|, so capped at FM_MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -24,14 +34,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import (ConsistencyError, EmptySystemError, EmptyAtZero,
-                     NonPositiveDegree, UnknownVertex)
+from .errors import (ConsistencyError, DimensionTooLarge, EmptySystemError,
+                     EmptyAtZero, InfeasibleEverywhere, NonPositiveDegree,
+                     UnknownVertex)
 from .graphs import Divisor, Graph
+from .linalg import dot
 from .linsys import (EnrichedSystemSpec, LinearSystemSpec, build_system,
-                     enriched_system, minimal_element)
+                     enriched_system, least_element_path, minimal_element)
 from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction, constant_plf
 from .polyhedra import HPolyhedron, enumerate_v_rep, project_out
+
+# Largest graph `cross_verify` projects by Fourier-Motzkin.  On the ladder
+# instances (C_n plus n//2 chords, tropical flag, Python 3.11 on a 2-CPU
+# VM) the projection took 0.9 s at n = 8, 3.2 s at n = 9, 38 s at n = 10
+# and 156 s at n = 11.
+FM_MAX_VERTICES = 10
 
 
 @dataclass(frozen=True)
@@ -87,10 +105,12 @@ class NOBody2D:
 class VerificationReport:
     kind: str
     agree: bool
+    # the boundary function of the least-element (production) route, under
+    # the name perfbench/workloads.py reads
     parametric: PiecewiseLinearFunction
     projection: PiecewiseLinearFunction
     first_disagreement: Optional[Fraction] = None
-    body: Optional[NOBody2D] = None  # the parametric-route body
+    body: Optional[NOBody2D] = None  # the least-element-route body
 
 
 def _plf_equal(p: PiecewiseLinearFunction, q: PiecewiseLinearFunction) -> bool:
@@ -106,6 +126,8 @@ def _first_disagreement(p, q) -> Optional[Fraction]:
     if len(p.breakpoints) != len(q.breakpoints):
         longer = p if len(p.breakpoints) > len(q.breakpoints) else q
         return longer.breakpoints[min(len(p.breakpoints), len(q.breakpoints))][0]
+    if p.tail_slope != q.tail_slope:
+        return p.breakpoints[-1][0]
     return None
 
 
@@ -114,6 +136,77 @@ def _system_rows(job: CurveBodyJob):
     rows, then the rows phi >= 0."""
     poly = build_system(LinearSystemSpec(job.graph, job.lam, True))
     return [a for a, _ in poly.constraints], [b for _, b in poly.constraints]
+
+
+def _tropical_end(job: CurveBodyJob) -> Fraction:
+    return job.lam.degree() / job.flag.y1_specialization.degree()
+
+
+def _tropical_warnings(t_feasible, t_end) -> Tuple[str, ...]:
+    if t_feasible == t_end:
+        return ()
+    return (f"family infeasible past t = {t_feasible}; "
+            f"body emitted over [0, {t_feasible}] instead of [0, {t_end}]",)
+
+
+def _band_warnings(t_start) -> Tuple[str, ...]:
+    if t_start <= 0:
+        return ()
+    return (f"members must vanish to order >= {t_start} at the flag component; "
+            f"band starts at t = {t_start}, not 0",)
+
+
+def _overgraph(lower: PiecewiseLinearFunction, warnings) -> NOBody2D:
+    return NOBody2D("overgraph", lower, None, (Fraction(0), Fraction(1)), warnings)
+
+
+def _band(upper: PiecewiseLinearFunction, t_start, warnings) -> NOBody2D:
+    if upper.tail_slope != 0:
+        raise ConsistencyError("upper function is not eventually constant")
+    return NOBody2D("band", constant_plf(t_start, None, 0), upper,
+                    (Fraction(1), Fraction(0)), warnings)
+
+
+def combinatorial_body(job: CurveBodyJob) -> NOBody2D:
+    """The body by the least-element route.
+
+    Tropical: the path of least elements of L+(Lam - t*Lam1) over
+    t in [0, deg Lam / deg Lam1]; a(t) is its value at the flag vertex,
+    and the path ends early where the family becomes empty.
+
+    Arakelov: the path starts at t_start = pi(v), pi the least element of
+    L+(Lam).  For t >= t_start, z(t) is the least element on V - {v} of the
+    reduced Laplacian system with right-hand side Lam' + t*laplacian_{.v}
+    (a nonsingular M-matrix, so it is never empty).  Row v has
+    non-positive coefficients off v, so z(t) maximizes laplacian(phi)(v)
+    over the slice and b(t) = Lam(v) + deg(v)*t - sum_w m_vw z(t)(w)."""
+    g = job.graph
+    lap = g.laplacian_matrix()
+    lam = job.lam.values
+    iv = g.index(job.flag.vertex)
+    if isinstance(job.flag, TropicalFlag):
+        t_end = _tropical_end(job)
+        path = least_element_path(lap, lam, [-c for c in job.flag.y1_specialization.values],
+                                  0, t_end)
+        if path is None:
+            raise EmptyAtZero("the effective system at t = 0 is empty")
+        lower = PiecewiseLinearFunction.from_pieces(
+            [(lo, hi, a[iv], b[iv]) for lo, hi, a, b in path], shape="convex")
+        return _overgraph(lower, _tropical_warnings(path[-1][1], t_end))
+    pi = minimal_element(LinearSystemSpec(g, job.lam, True))
+    if pi is None:
+        raise EmptySystemError("the effective system is empty")
+    t_start = pi[job.flag.vertex]
+    rest = [i for i in range(len(lam)) if i != iv]
+    path = least_element_path([[lap[i][j] for j in rest] for i in rest],
+                              [lam[i] for i in rest], [lap[i][iv] for i in rest],
+                              t_start)
+    row = [lap[iv][j] for j in rest]
+    pieces = [(lo, hi, lam[iv] + dot(row, a), lap[iv][iv] + dot(row, b))
+              for lo, hi, a, b in path]
+    upper = PiecewiseLinearFunction.from_pieces(pieces, shape="concave",
+                                                tail_slope=pieces[-1][3])
+    return _band(upper, t_start, _band_warnings(t_start))
 
 
 def _tropical_family(job: CurveBodyJob):
@@ -129,18 +222,16 @@ def _tropical_family(job: CurveBodyJob):
 
 
 def tropical_body_parametric(job: CurveBodyJob) -> Tuple[ParametricResult, Tuple[str, ...]]:
-    if minimal_element(LinearSystemSpec(job.graph, job.lam, True)) is None:
-        raise EmptyAtZero("the effective system at t = 0 is empty")
-    t_end = job.lam.degree() / job.flag.y1_specialization.degree()
+    """The parametric LP over [0, t_end]; the family shrinks as t grows, so
+    it is empty everywhere iff it is empty at t = 0."""
+    t_end = _tropical_end(job)
     rows, b0, b1, objective = _tropical_family(job)
-    result = parametric_value_function(rows, b0, b1, objective, "min",
-                                       (Fraction(0), t_end))
-    warnings = []
-    if result.feasible_end != t_end:
-        warnings.append(
-            f"family infeasible past t = {result.feasible_end}; "
-            f"body emitted over [0, {result.feasible_end}] instead of [0, {t_end}]")
-    return result, tuple(warnings)
+    try:
+        result = parametric_value_function(rows, b0, b1, objective, "min",
+                                           (Fraction(0), t_end))
+    except InfeasibleEverywhere:
+        raise EmptyAtZero("the effective system at t = 0 is empty") from None
+    return result, _tropical_warnings(result.feasible_end, t_end)
 
 
 def tropical_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
@@ -150,7 +241,7 @@ def tropical_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
     g = job.graph
     n = len(g.vertices)
     iv = g.index(job.flag.vertex)
-    t_end = job.lam.degree() / job.flag.y1_specialization.degree()
+    t_end = _tropical_end(job)
     rows, b0, b1, _ = _tropical_family(job)
     lifted = []
     for a, p, q in zip(rows, b0, b1):
@@ -200,20 +291,16 @@ def _arakelov_family(job: CurveBodyJob):
 
 def arakelov_body_parametric(job: CurveBodyJob) -> Tuple[ParametricResult, Fraction, Tuple[str, ...]]:
     """Returns (raw parametric result for max laplacian(phi)(v), the start
-    abscissa, warnings).  The body's upper function is Lam(v) + val(t)."""
-    pi = minimal_element(LinearSystemSpec(job.graph, job.lam, True))
-    if pi is None:
-        raise EmptySystemError("the effective system is empty")
-    t_start = pi[job.flag.vertex]
-    warnings = []
-    if t_start > 0:
-        warnings.append(
-            f"members must vanish to order >= {t_start} at the flag component; "
-            f"band starts at t = {t_start}, not 0")
+    abscissa, warnings).  The body's upper function is Lam(v) + val(t).
+    The start is the left end of the family's feasible range over t >= 0."""
     rows, b0, b1, objective = _arakelov_family(job)
-    result = parametric_value_function(rows, b0, b1, objective, "max",
-                                       (t_start, None))
-    return result, t_start, tuple(warnings)
+    try:
+        result = parametric_value_function(rows, b0, b1, objective, "max",
+                                           (Fraction(0), None))
+    except InfeasibleEverywhere:
+        raise EmptySystemError("the effective system is empty") from None
+    t_start = result.feasible_start
+    return result, t_start, _band_warnings(t_start)
 
 
 def arakelov_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
@@ -241,29 +328,29 @@ def _parametric_body(job: CurveBodyJob) -> NOBody2D:
     """The body by the parametric route; the only place it is assembled."""
     if isinstance(job.flag, TropicalFlag):
         result, warnings = tropical_body_parametric(job)
-        return NOBody2D("overgraph", result.function, None,
-                        (Fraction(0), Fraction(1)), warnings)
+        return _overgraph(result.function, warnings)
     result, t_start, warnings = arakelov_body_parametric(job)
     shift = job.lam[job.flag.vertex]
     raw = result.function
-    b = PiecewiseLinearFunction(
+    upper = PiecewiseLinearFunction(
         tuple((t, v + shift) for t, v in raw.breakpoints),
         tail_slope=raw.tail_slope, shape="concave")
-    if b.tail_slope != 0:
-        raise ConsistencyError("upper function is not eventually constant")
-    lower = constant_plf(t_start, None, 0)
-    return NOBody2D("band", lower, b, (Fraction(1), Fraction(0)), warnings)
+    return _band(upper, t_start, warnings)
 
 
 def compute_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
-    """The body of the job; with cross_check, both routes must agree."""
-    if not cross_check:
-        return _parametric_body(job)
-    report = cross_verify(job)
-    if not report.agree:
-        raise ConsistencyError(
-            f"parametric and projection disagree: {report.parametric} vs {report.projection}")
-    return report.body
+    """The body of the job by the least-element route; with cross_check,
+    the parametric route must build the same body, warnings included."""
+    body = combinatorial_body(job)
+    if cross_check:
+        try:
+            check = _parametric_body(job)
+        except (EmptyAtZero, EmptySystemError) as exc:
+            check = f"an empty system ({exc})"
+        if check != body:
+            raise ConsistencyError(
+                f"least-element and parametric routes disagree: {body} vs {check}")
+    return body
 
 
 def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:
@@ -275,13 +362,19 @@ def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:
 
 
 def cross_verify(job: CurveBodyJob) -> VerificationReport:
-    """Build the body by the parametric route, compare its boundary
-    function with the projection route's exactly, and keep the body."""
-    body = _parametric_body(job)
+    """Build the body by the least-element route, compare its boundary
+    function with the projection route's exactly, and keep the body.
+    Graphs over FM_MAX_VERTICES vertices are refused up front."""
+    n = len(job.graph.vertices)
+    if n > FM_MAX_VERTICES:
+        raise DimensionTooLarge(
+            f"the Fourier-Motzkin cross-check takes at most {FM_MAX_VERTICES} "
+            f"vertices; this graph has {n}")
+    body = combinatorial_body(job)
     if body.kind == "overgraph":
-        kind, para, proj = "tropical", body.lower, tropical_body_projection(job)
+        kind, route, proj = "tropical", body.lower, tropical_body_projection(job)
     else:
-        kind, para, proj = "arakelov", body.upper, arakelov_body_projection(job)
-    agree = _plf_equal(para, proj)
-    return VerificationReport(kind, agree, para, proj,
-                              None if agree else _first_disagreement(para, proj), body)
+        kind, route, proj = "arakelov", body.upper, arakelov_body_projection(job)
+    agree = _plf_equal(route, proj)
+    return VerificationReport(kind, agree, route, proj,
+                              None if agree else _first_disagreement(route, proj), body)

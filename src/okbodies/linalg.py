@@ -98,15 +98,24 @@ def _reduce(matrix, ncols):
     return rows, dens, pivots, num, den
 
 
-def solve_square(matrix, rhs):
-    """Solve M x = rhs for square M.  Returns the solution vector or
-    None when M is singular."""
+def solve_columns(matrix, columns):
+    """Solve M x = c for square M and each right-hand side c in `columns`,
+    with one elimination.  Returns the solution vectors in order, or None
+    when M is singular."""
     n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = [list(row) + [c[i] for c in columns] for i, row in enumerate(matrix)]
     rows, dens, pivots, _, _ = _reduce(aug, n)
     if len(pivots) < n:
         return None
-    return [Fraction(rows[i][n], dens[i]) for i in range(n)]
+    return [[Fraction(rows[i][n + k], dens[i]) for i in range(n)]
+            for k in range(len(columns))]
+
+
+def solve_square(matrix, rhs):
+    """Solve M x = rhs for square M.  Returns the solution vector or
+    None when M is singular."""
+    sol = solve_columns(matrix, [rhs])
+    return None if sol is None else sol[0]
 
 
 def det_int(matrix) -> int:

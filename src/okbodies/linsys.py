@@ -80,36 +80,83 @@ def pointwise_min(phi1: GraphFunction, phi2: GraphFunction) -> GraphFunction:
     return GraphFunction(phi1.graph, [min(a, b) for a, b in zip(phi1.values, phi2.values)])
 
 
-def minimal_element(spec: LinearSystemSpec) -> Optional[GraphFunction]:
-    """Coordinatewise minimum of L+(Lam), or None when the system is empty.
+def least_element_path(matrix, q0, q1, t0, t1=None):
+    """The least element z(t) of {z >= 0 : M z + q0 + t*q1 >= 0} for t from
+    t0 up to t1 (None = +infinity), as pieces (lo, hi, a, b) on which
+    z(t) = a + t*b; hi is None on an unbounded last piece.  Returns None
+    when the system is empty at t0; otherwise the pieces tile the closed
+    interval of t >= t0 (up to t1) where it is nonempty.
 
-    The Laplacian is a Z-matrix, so this is the least solution of
-    LCP(laplacian, Lam) (Cottle & Veinott 1972), and Chandrasekaran's
-    algorithm finds it: z is 0 off an active set J and solves
-    laplacian_JJ z_J = -Lam_J on it; each round adds to J every vertex where
-    laplacian(z) + Lam < 0.  Proper principal submatrices of a connected
-    Laplacian are nonsingular M-matrices, so z rises and stays below the
-    least element pi, and J stays inside the support of pi.  pi has min 0
-    (constants are in the kernel), so J = V means the system is empty.
-    Membership of the result is checked, not assumed."""
+    M is an integer Z-matrix whose proper principal submatrices are
+    nonsingular M-matrices: a connected graph's Laplacian, or a reduced
+    one.  The least element solves LCP(M, q) (Cottle & Veinott 1972), and
+    Chandrasekaran's algorithm finds it: z is 0 off an active set J and
+    solves M_JJ z_J = -q_J on it; each round adds to J every i where
+    w = M z + q < 0.  Then z rises and stays below the least element pi,
+    and J stays inside the support of pi.  A singular M_JJ means J is every
+    index of a Laplacian, whose least elements have min 0 (constants are in
+    its kernel): the system is empty.
+
+    With q1 <= 0, q falls as t grows, so pi(t) rises and its active set
+    only grows (Cottle 1972, "Monotone solutions of the parametric linear
+    complementarity problem").  On one J both z_J and w are affine in t,
+    with both columns of z_J from one elimination of M_JJ.  Comparing each
+    w_i as the pair (value at t, slope) grows J to the active set valid on
+    [t, t + eps); the piece ends at the first t where some w_i off J with
+    negative slope reaches 0, and J grows again there.  So there are at
+    most len(q0) pieces.  The first round at t0 compares values alone,
+    which decides emptiness at t0 itself."""
+    n = len(q0)
+    active, a, b = [], [Fraction(0)] * n, [Fraction(0)] * n
+    pieces = []
+    t, lex = Fraction(t0), False
+    while True:
+        w = {}
+        for i in range(n):
+            if i not in active:
+                # z is 0 off J, and M is sparse: sum over its nonzeros on J
+                terms = [(m, j) for j, m in enumerate(matrix[i]) if m and j in active]
+                w0 = sum([m * a[j] for m, j in terms], q0[i])
+                w1 = sum([m * b[j] for m, j in terms], q1[i])
+                w[i] = (w0 + t * w1, w1 if lex else 0)
+        entering = [i for i, pair in w.items() if pair < (0, 0)]
+        if entering:
+            active += entering
+            sol = linalg.solve_columns([[matrix[i][j] for j in active] for i in active],
+                                       [[-q0[i] for i in active], [-q1[i] for i in active]])
+            if sol is None:
+                if not lex:
+                    return None
+                return pieces or [(t, t, a, b)]
+            a, b = [Fraction(0)] * n, [Fraction(0)] * n
+            for i, ai, bi in zip(active, *sol):
+                a[i], b[i] = ai, bi
+            continue
+        if not lex:
+            lex = True
+            continue
+        hi = t1
+        for value, slope in w.values():
+            if slope < 0 and (hi is None or t - value / slope < hi):
+                hi = t - value / slope
+        pieces.append((t, hi, a, b))
+        if hi is None or hi == t1:
+            return pieces
+        t = hi
+
+
+def minimal_element(spec: LinearSystemSpec) -> Optional[GraphFunction]:
+    """Coordinatewise minimum of L+(Lam), or None when the system is empty:
+    the constant path of `least_element_path` for the Laplacian and
+    q = Lam.  Membership of the result is checked, not assumed."""
     if not spec.effective:
         raise ValueError("minimal elements exist only for effective systems")
-    lap = spec.graph.laplacian_matrix()
-    lam = spec.lam.values
-    n = len(lam)
-    z = [Fraction(0)] * n
-    active = []
-    while True:
-        entering = [i for i in range(n) if linalg.dot(lap[i], z) + lam[i] < 0]
-        if not entering:
-            break
-        active += entering
-        if len(active) == n:
-            return None
-        sol = linalg.solve_square([[lap[i][j] for j in active] for i in active],
-                                  [-lam[i] for i in active])
-        for i, v in zip(active, sol):
-            z[i] = v
+    n = len(spec.lam.values)
+    path = least_element_path(spec.graph.laplacian_matrix(), spec.lam.values,
+                              [0] * n, 0, 0)
+    if path is None:
+        return None
+    ((_, _, z, _),) = path
     pi = GraphFunction(spec.graph, z)
     if not member(spec, pi):
         raise AssertionError("minimal element failed the membership check")

@@ -61,13 +61,16 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
         raise InfeasibleEverywhere("empty parameter interval")
 
     t_lo, t_hi = _feasible_range(rows, b0, b1, nvars, t_min, t_max)
-    _check_bounded(rows, internal_obj, nvars)
 
     def constraints_at(t):
         return [(a, p + t * q) for a, p, q in zip(rows, b0, b1)]
 
     def solve_at(t):
         out = simplex.solve_raw(constraints_at(t), internal_obj, "min", b1)
+        if out.status == UNBOUNDED:
+            # the recession cone {r : A r >= 0} does not depend on t, so the
+            # first solve, at t_lo, decides boundedness for every t
+            raise UnboundedValue("objective unbounded over the parametric family")
         if out.status != OPTIMAL:
             raise AssertionError(f"expected optimal at t={t}, got {out.status}")
         return out
@@ -162,12 +165,3 @@ def _feasible_range(rows, b0, b1, nvars, t_min, t_max):
         return low.value, None
     return low.value, high.value
 
-
-def _check_bounded(rows, internal_obj, nvars):
-    """The recession cone does not depend on t, so unboundedness of the
-    minimum is a one-shot check: a ray with A r >= 0 and obj.r <= -1."""
-    cone = [(a, Fraction(0)) for a in rows]
-    cone.append(([-c for c in internal_obj], Fraction(1)))
-    out = simplex.solve_raw(cone, [Fraction(0)] * nvars, "min")
-    if out.status == OPTIMAL:
-        raise UnboundedValue("objective unbounded over the parametric family")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from okbodies import curves
 from okbodies.cli import main
 from okbodies.errors import BadRational, ConsistencyError, SchemaError
-from okbodies.jobs import parse_job, run_job
+from okbodies.jobs import _body_doc, parse_job, run_job
 from okbodies.plf import PiecewiseLinearFunction
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
@@ -259,9 +260,14 @@ def test_verify_rank(tmp_path, divisor, base, verdict):
     ([(0, 0), (2, 0), (4, 1)], 4),                     # a value differs
     ([(0, 0), (1, 0), (4, Fraction(1, 2))], 1),        # an abscissa differs
     ([(0, 0), (2, 0), (4, Fraction(1, 2)), (5, 2)], 5),  # one has more breakpoints
+    # the same breakpoints, but only one function has a tail
+    (PiecewiseLinearFunction(((0, 0), (2, 0), (4, Fraction(1, 2))), tail_slope=1,
+                             shape="convex"), 4),
 ])
 def test_verify_names_the_first_disagreement(tmp_path, monkeypatch, breakpoints, at):
-    wrong = PiecewiseLinearFunction(tuple(breakpoints), shape="convex")
+    wrong = breakpoints
+    if not isinstance(wrong, PiecewiseLinearFunction):
+        wrong = PiecewiseLinearFunction(tuple(breakpoints), shape="convex")
     monkeypatch.setattr(curves, "tropical_body_projection", lambda job: wrong)
     path = jobpath("verify-quartic-tropical.json")
     with open(path) as fh:
@@ -275,3 +281,55 @@ def test_verify_names_the_first_disagreement(tmp_path, monkeypatch, breakpoints,
     assert result["pass"] is False
     assert result["checks"][0] == {"name": "dual-algorithm", "pass": False,
                                    "detail": f"first disagreement at t = {at}"}
+
+
+def _ladder_doc(n, flag):
+    """The size-ladder curve job: C_n plus n//2 chords drawn with
+    random.Random(1), Lam(v) in [0, 3] from the same generator, flag
+    vertex v0, Lam1 = (v0)."""
+    rng = random.Random(1)
+    names = [f"v{i}" for i in range(n)]
+    edges = [[names[i], names[(i + 1) % n]] for i in range(n)]
+    for _ in range(n // 2):
+        a, b = rng.sample(range(n), 2)
+        edges.append([names[a], names[b]])
+    values = [rng.randint(0, 3) for _ in names]
+    if not any(values):
+        values[0] = 1
+    fdoc = {"type": flag, "vertex": "v0"}
+    if flag == "tropical":
+        fdoc["y1"] = {v: int(v == "v0") for v in names}
+    return {"kind": "curve-body", "payload": {
+        "graph": {"vertices": names, "edges": edges},
+        "divisor": dict(zip(names, values)), "flag": fdoc}}
+
+
+@pytest.mark.parametrize("flag", ["tropical", "arakelov"])
+def test_curve_body_on_the_n30_ladder(tmp_path, flag):
+    # the default cross-check is the parametric LP, not Fourier-Motzkin, so
+    # 30 vertices finish; the result is the parametric route's body
+    doc = _ladder_doc(30, flag)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert run(["curve-body", flag, "--input", str(job), "--output", str(out)]) == 0
+    (cjob,) = parse_job(json.dumps(doc)).parsed
+    assert read_result(out)["canonical"]["result"] == _body_doc(curves._parametric_body(cjob))
+
+
+def test_verify_refuses_graphs_over_the_projection_cap(tmp_path, capsys):
+    n = curves.FM_MAX_VERTICES + 1
+    doc = _ladder_doc(n, "arakelov")
+    doc["kind"] = "verify"
+    doc["payload"]["target"] = "curve-body"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--input", str(job), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"at most {curves.FM_MAX_VERTICES} vertices" in err
+    assert not out.exists()
+    # the curve-body job itself is not capped
+    doc = _ladder_doc(n, "arakelov")
+    job.write_text(json.dumps(doc))
+    assert run(["curve-body", "arakelov", "--input", str(job), "--output", str(out)]) == 0

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from okbodies.curves import (ArakelovFlag, CurveBodyJob, TropicalFlag,
-                             compute_body, cross_verify, stabilization)
-from okbodies.errors import EmptyAtZero, EmptySystemError, NonPositiveDegree
+                             _parametric_body, combinatorial_body, compute_body,
+                             cross_verify, stabilization)
+from okbodies.errors import (EmptyAtZero, EmptySystemError, NonPositiveDegree,
+                             OkbodiesError)
 from okbodies.graphs import Divisor, Graph
-from okbodies.sampling import random_divisor, random_graph
+from okbodies.sampling import random_divisor, random_graph, random_rational
 from tests.test_graphs import quartic
 
 F = Fraction
@@ -123,3 +125,58 @@ def test_random_jobs_both_routes():
         for t, y in f.breakpoints:
             assert body.contains((t + body.recession[0], y + body.recession[1]))
         done += 1
+
+
+def _outcome(route, job):
+    """The body a route builds, or the class and message it rejects with."""
+    try:
+        return route(job)
+    except OkbodiesError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_least_element_route_matches_parametric():
+    # seeded jobs with rational Lam and Lam1 on random multigraphs (n = 1
+    # graphs, loops and parallel edges included), both flags
+    rng = random.Random(71)
+    bodies, warned, kinds, single, rejected = 0, 0, set(), 0, []
+    while bodies + len(rejected) < 1200:
+        g = random_graph(rng, max_vertices=5, max_extra_edges=4)
+        n = len(g.vertices)
+        lam = Divisor(g, [random_rational(rng, -2, 3, 3) for _ in range(n)])
+        v = g.vertices[rng.randrange(n)]
+        if rng.random() < 0.5:
+            y1 = Divisor(g, [random_rational(rng, 0, 2, 3) for _ in range(n)])
+            if y1.degree() <= 0 or lam.degree() <= 0:
+                continue
+            job = CurveBodyJob(g, lam, TropicalFlag(y1, v))
+        else:
+            job = CurveBodyJob(g, lam, ArakelovFlag(v))
+        body = _outcome(combinatorial_body, job)
+        assert body == _outcome(_parametric_body, job), job
+        if isinstance(body, tuple):
+            rejected.append(body[0])
+            continue
+        bodies += 1
+        warned += bool(body.warnings)
+        kinds.add(body.kind)
+        single += n == 1
+    assert kinds == {"overgraph", "band"}
+    assert set(rejected) == {"EmptySystemError"}  # deg Lam > 0 keeps L+(Lam) nonempty
+    assert bodies >= 900 and len(rejected) >= 150 and warned >= 100 and single >= 50
+
+
+def test_simultaneous_ties():
+    # star on v with leaves x, y (and u for the tropical case): both leaves
+    # reach w = 0 at the same t and enter the active set together
+    g = Graph(["v", "x", "y"], [("v", "x"), ("v", "y")])
+    job = CurveBodyJob(g, Divisor(g, {"v": 0, "x": 1, "y": 1}), ArakelovFlag("v"))
+    body = compute_body(job)
+    assert body.upper.breakpoints == ((0, 0), (1, 2)) and body.upper.tail_slope == 0
+    assert cross_verify(job).agree
+    g = Graph(["v", "x", "y", "u"], [("v", "x"), ("v", "y"), ("v", "u")])
+    job = CurveBodyJob(g, Divisor(g, {"v": 2, "x": 1, "y": 1, "u": 5}),
+                       TropicalFlag(Divisor(g, {"v": 1, "x": 0, "y": 0, "u": 0}), "v"))
+    body = compute_body(job)
+    assert body.lower.breakpoints == ((0, 0), (2, 0), (5, 1), (9, 5))
+    assert cross_verify(job).agree

@@ -76,14 +76,22 @@ def test_job_results_unchanged(name, tmp_path):
                                       ("verify-quartic-tropical", False)])
 def test_body_is_built_once(name, svg, tmp_path, monkeypatch):
     """--svg draws the body the job computed, and verify checks recession
-    closure on the body its cross-check built."""
-    calls = []
-    build = curves.tropical_body_parametric
+    closure on the body its cross-check built: the least-element route
+    builds it once.  A curve-body job cross-checks it with the parametric
+    route once; verify checks it against Fourier-Motzkin and runs no
+    parametric LP."""
+    calls = {"combinatorial_body": 0, "tropical_body_parametric": 0}
 
-    def counted(job):
-        calls.append(job)
-        return build(job)
+    def counted(attr):
+        build = getattr(curves, attr)
 
-    monkeypatch.setattr(curves, "tropical_body_parametric", counted)
+        def wrapper(job):
+            calls[attr] += 1
+            return build(job)
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(curves, attr, counted(attr))
     assert main(_job_argv(name, tmp_path, svg)) == 0
-    assert len(calls) == 1
+    assert calls == {"combinatorial_body": 1,
+                     "tropical_body_parametric": 0 if name.startswith("verify") else 1}

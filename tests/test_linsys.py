@@ -6,8 +6,9 @@ import pytest
 from okbodies.errors import EmptySystemError
 from okbodies.graphs import Divisor, Graph, GraphFunction, laplacian
 from okbodies.linsys import (EnrichedSystemSpec, LinearSystemSpec,
-                             build_system, enriched_system, member,
-                             minimal_element, pointwise_min, zariski_shift)
+                             build_system, enriched_system,
+                             least_element_path, member, minimal_element,
+                             pointwise_min, zariski_shift)
 from okbodies.oracles import minimal_element_lp
 from okbodies.sampling import (random_divisor, random_graph, random_member,
                                random_rational)
@@ -118,6 +119,32 @@ def test_minimal_element_matches_lp_oracle():
         assert pi == minimal_element_lp(spec)
         empty += pi is None
     assert 100 <= empty <= 300
+
+
+def test_least_element_path_matches_lp_oracle():
+    # the path of least elements of L+(Lam - t*Lam1), t in [0, 6], against
+    # one LP per vertex at every piece's ends and midpoint, and past its end
+    rng = random.Random(31)
+    points = ended = 0
+    for _ in range(80):
+        g = random_graph(rng, max_vertices=6, max_extra_edges=4)
+        lam = Divisor(g, [random_rational(rng, -2, 4, 4) for _ in g.vertices])
+        lam1 = Divisor(g, [random_rational(rng, 0, 2, 3) for _ in g.vertices])
+        path = least_element_path(g.laplacian_matrix(), lam.values,
+                                  [-c for c in lam1.values], 0, 6)
+        if path is None:
+            assert minimal_element_lp(LinearSystemSpec(g, lam)) is None
+            continue
+        for lo, hi, a, b in path:
+            for t in (lo, (lo + hi) / 2, hi):
+                pi = minimal_element_lp(LinearSystemSpec(g, lam - lam1 * t))
+                assert pi.values == tuple(x + t * y for x, y in zip(a, b))
+                points += 1
+        end = path[-1][1]
+        if end < 6:
+            assert minimal_element_lp(LinearSystemSpec(g, lam - lam1 * ((end + 6) / 2))) is None
+            ended += 1
+    assert points >= 300 and ended >= 20
 
 
 def test_minimal_element_needs_an_effective_system():

@@ -35,8 +35,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import (ConsistencyError, DimensionTooLarge, EmptySystemError,
-                     EmptyAtZero, InfeasibleEverywhere, NonPositiveDegree,
-                     UnknownVertex)
+                     InfeasibleEverywhere, NonPositiveDegree, UnknownVertex)
 from .graphs import Divisor, Graph
 from .linalg import dot
 from .linsys import (EnrichedSystemSpec, LinearSystemSpec, build_system,
@@ -50,6 +49,10 @@ from .polyhedra import HPolyhedron, enumerate_v_rep, project_out
 # VM) the projection took 0.9 s at n = 8, 3.2 s at n = 9, 38 s at n = 10
 # and 156 s at n = 11.
 FM_MAX_VERTICES = 10
+
+# A tropical job has deg Lam > 0, and the Laplacian maps onto the rational
+# divisors of degree 0, so L+(Lam) is nonempty: its body is never empty.
+_NONEMPTY_AT_ZERO = "the effective system at t = 0 is empty although deg(lam) > 0"
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ def combinatorial_body(job: CurveBodyJob) -> NOBody2D:
         path = least_element_path(lap, lam, [-c for c in job.flag.y1_specialization.values],
                                   0, t_end)
         if path is None:
-            raise EmptyAtZero("the effective system at t = 0 is empty")
+            raise ConsistencyError(_NONEMPTY_AT_ZERO)
         lower = PiecewiseLinearFunction.from_pieces(
             [(lo, hi, a[iv], b[iv]) for lo, hi, a, b in path], shape="convex")
         return _overgraph(lower, _tropical_warnings(path[-1][1], t_end))
@@ -230,7 +233,7 @@ def tropical_body_parametric(job: CurveBodyJob) -> Tuple[ParametricResult, Tuple
         result = parametric_value_function(rows, b0, b1, objective, "min",
                                            (Fraction(0), t_end))
     except InfeasibleEverywhere:
-        raise EmptyAtZero("the effective system at t = 0 is empty") from None
+        raise ConsistencyError(_NONEMPTY_AT_ZERO) from None
     return result, _tropical_warnings(result.feasible_end, t_end)
 
 
@@ -264,7 +267,7 @@ def _lower_boundary(plane: HPolyhedron) -> PiecewiseLinearFunction:
     exactly the breakpoints."""
     vrep = enumerate_v_rep(plane)
     if vrep.is_empty():
-        raise EmptyAtZero("projected body is empty")
+        raise ConsistencyError(f"projected body is empty: {_NONEMPTY_AT_ZERO}")
     pts = sorted(vrep.vertices)
     if (Fraction(0), Fraction(1)) not in vrep.rays:
         raise ConsistencyError(f"projected region is not an overgraph: rays {vrep.rays}")
@@ -345,7 +348,7 @@ def compute_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
     if cross_check:
         try:
             check = _parametric_body(job)
-        except (EmptyAtZero, EmptySystemError) as exc:
+        except EmptySystemError as exc:
             check = f"an empty system ({exc})"
         if check != body:
             raise ConsistencyError(

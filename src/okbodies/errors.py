@@ -33,10 +33,6 @@ class NonPositiveDegree(OkbodiesError):
     pass
 
 
-class EmptyAtZero(OkbodiesError):
-    pass
-
-
 class EmptySystemError(OkbodiesError):
     """Raised only where an empty system cannot be reported as a value."""
 

@@ -16,17 +16,16 @@ import functools
 import importlib.resources
 import itertools
 import json
+import numbers
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import jsonschema
-
 from . import curves, linsys, rank, toric
-from .errors import (EmptyAtZero, EmptySystemError, OkbodiesError, SchemaError,
-                     UnknownVertex)
+from .errors import (ConsistencyError, EmptySystemError, OkbodiesError,
+                     SchemaError, UnknownVertex)
 from .graphs import Divisor, Graph, GraphFunction
 from .oracles import RankOracle
 from .plf import PiecewiseLinearFunction
@@ -38,14 +37,168 @@ EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
 
 
 @functools.cache
-def _validator():
-    """The job schema's validator, built and its schema checked once."""
+def _schema() -> dict:
+    """The job schema, loaded and checked once."""
     text = (importlib.resources.files("okbodies") / "schema" /
             "job.schema.json").read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return _checked_schema(json.loads(text))
+
+
+def _checked_schema(schema: dict) -> dict:
+    """`schema`, refused with ConsistencyError unless it is draft-07 and
+    `_conforms` decides it exactly, so that the two never drift apart."""
+    if schema.get("$schema") not in _DRAFT_07:
+        raise ConsistencyError(f"the job schema is not draft-07: "
+                               f"{schema.get('$schema')!r}")
+    defs = schema.get("definitions", {})
+    _refuse_unsupported({k: v for k, v in schema.items() if k not in _ROOT_ONLY}, defs)
+    for sub in defs.values():
+        _refuse_unsupported(sub, defs)
+    return schema
+
+
+@functools.cache
+def _validator():
+    """jsonschema's validator of the job schema, its schema checked once.
+    jsonschema is imported here, not with the module: it only words the
+    diagnostic of a job `_conforms` rejects, and loading it costs about
+    5 MB of resident memory."""
+    import jsonschema
+    jsonschema.Draft7Validator.check_schema(_schema())
+    return jsonschema.Draft7Validator(_schema())
+
+
+# `_conforms` decides acceptance without jsonschema's per-node walk, for the
+# draft-07 keywords below.  Each check holds vacuously where draft 07 says
+# the keyword does not apply (`required` on a non-object, and so on).
+_DRAFT_07 = ("http://json-schema.org/draft-07/schema#",
+             "http://json-schema.org/draft-07/schema")
+_DEFS = "#/definitions/"
+_ROOT_ONLY = {"$schema", "$id", "definitions"}
+# keywords that never reject on their own: `then` is read by `if`
+_INERT = {"title", "then"}
+# the draft-07 types as jsonschema checks them: a boolean is no number,
+# and a float with no fractional part is an integer
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+    "null": lambda x: x is None,
+    "number": lambda x: not isinstance(x, bool) and isinstance(x, numbers.Number),
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+
+
+def _type(types, x, s, defs):
+    if isinstance(types, str):
+        return _TYPES[types](x)
+    return any(_TYPES[t](x) for t in types)
+
+
+def _properties(props, x, s, defs):
+    return not isinstance(x, dict) or all(
+        _holds(sub, x[k], defs) for k, sub in props.items() if k in x)
+
+
+def _additional(extra, x, s, defs):
+    if not isinstance(x, dict):
+        return True
+    props = s.get("properties", {})
+    return all(_holds(extra, v, defs) for k, v in x.items() if k not in props)
+
+
+def _items(items, x, s, defs):
+    if not isinstance(x, list):
+        return True
+    if isinstance(items, list):
+        return all(_holds(sub, v, defs) for sub, v in zip(items, x))
+    return all(_holds(items, v, defs) for v in x)
+
+
+_KEYWORDS = {
+    "type": _type,
+    # enum and const values are strings (see _refuse_unsupported), which
+    # a JSON value equals exactly when draft 07 says it does
+    "enum": lambda values, x, s, defs: x in values,
+    "const": lambda value, x, s, defs: x == value,
+    "required": lambda keys, x, s, defs: (
+        not isinstance(x, dict) or all(k in x for k in keys)),
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "items": _items,
+    "minItems": lambda m, x, s, defs: not isinstance(x, list) or len(x) >= m,
+    "maxItems": lambda m, x, s, defs: not isinstance(x, list) or len(x) <= m,
+    # `not x < m` rather than `x >= m`: NaN passes, as in jsonschema
+    "minimum": lambda m, x, s, defs: not (_TYPES["number"](x) and x < m),
+    "allOf": lambda subs, x, s, defs: all(_holds(sub, x, defs) for sub in subs),
+    # if/then is an implication: an exact "no" on `if` is what lets a
+    # valid document skip its `then`
+    "if": lambda cond, x, s, defs: (
+        not _holds(cond, x, defs) or _holds(s.get("then", True), x, defs)),
+    "$ref": None,  # resolved in _holds
+}
+
+
+def _holds(s, x, defs) -> bool:
+    if isinstance(s, bool):
+        return s
+    ref = s.get("$ref")
+    if ref is not None:  # draft 07 ignores the siblings of $ref
+        return _holds(defs[ref[len(_DEFS):]], x, defs)
+    for key, value in s.items():
+        check = _KEYWORDS.get(key)
+        if check is not None and not check(value, x, s, defs):
+            return False
+    return True
+
+
+def _conforms(schema: dict, doc) -> bool:
+    """Whether `doc` is valid against the draft-07 `schema`, which must
+    pass `_checked_schema`.  Exact both ways, not merely conservative:
+    it equals the validator's `is_valid(doc)`."""
+    return _holds(schema, doc, schema.get("definitions", {}))
+
+
+def _subschemas(key: str, value) -> list:
+    if key == "properties":
+        return list(value.values())
+    if key == "allOf" or (key == "items" and isinstance(value, list)):
+        return value
+    if key in ("items", "additionalProperties", "if", "then"):
+        return [value]
+    return []
+
+
+def _refuse_unsupported(schema, defs) -> None:
+    """Raise ConsistencyError at the first keyword, $ref form, type name or
+    enum value of `schema` (below the root's own keywords) that `_conforms`
+    does not decide."""
+    if isinstance(schema, bool):
+        return
+    for key, value in schema.items():
+        if key not in _KEYWORDS and key not in _INERT:
+            raise ConsistencyError(f"the job schema uses {key!r}, which "
+                                   f"the acceptance check does not decide")
+        if key == "$ref":
+            # a plain name: no JSON-pointer or percent escapes to decode
+            name = value[len(_DEFS):] if value.startswith(_DEFS) else None
+            if name not in defs or any(c in name for c in "~/%"):
+                raise ConsistencyError(f"the job schema's $ref {value!r} is "
+                                       f"not a name in {_DEFS}")
+        if key == "type":
+            names = [value] if isinstance(value, str) else value
+            if not set(names) <= set(_TYPES):
+                raise ConsistencyError(f"the job schema's type {value!r} is "
+                                       f"not a draft-07 type")
+        if key in ("enum", "const"):
+            values = value if key == "enum" else [value]
+            if not all(isinstance(v, str) for v in values):
+                raise ConsistencyError(f"the job schema's {key} {value!r} is "
+                                       f"not all strings")
+        for sub in _subschemas(key, value):
+            _refuse_unsupported(sub, defs)
 
 
 @dataclass(frozen=True)
@@ -97,10 +250,12 @@ def parse_job(text: str) -> JobFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"at {path}: {exc.message}") from exc
+    if not _conforms(_schema(), doc):
+        import jsonschema  # to word the diagnostic; see _validator
+        exc = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+        if exc is not None:
+            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+            raise SchemaError(f"at {path}: {exc.message}") from exc
     return JobFile(doc["kind"], doc["payload"], doc.get("options", {}),
                    _parse_payload(doc["kind"], doc["payload"]))
 
@@ -230,7 +385,7 @@ def _dispatch(job: JobFile, seed):
     if job.kind == "curve-body":
         try:
             body = curves.compute_body(*job.parsed)
-        except (EmptyAtZero, EmptySystemError) as exc:
+        except EmptySystemError as exc:
             return "empty", {"reason": str(exc)}, [], None
         return "ok", _body_doc(body), list(body.warnings), body
     if job.kind == "toric-body":
@@ -270,7 +425,7 @@ def _verify_curve_job(cjob: curves.CurveBodyJob, checks, label=""):
     prefix = f"{label}: " if label else ""
     try:
         report = curves.cross_verify(cjob)
-    except (EmptyAtZero, EmptySystemError) as exc:
+    except EmptySystemError as exc:
         _check(checks, f"{prefix}dual-algorithm", True, f"both empty: {exc}")
         return
     _check(checks, f"{prefix}dual-algorithm", report.agree,

@@ -1,22 +1,20 @@
 """Job and result files: JSON parsing, validation, dispatch, serialization.
 
-Jobs are JSON with exact numbers only (integers or "p/q" strings).  The
-schema file catches structural problems; rational parsing and graph
-checks produce diagnostics naming the offending field.  parse_job parses
-each payload once into domain objects that run_job reads, and a body
-job's result keeps the body it computed for rendering.  Results are
-deterministic: the canonical section (job echo + computed objects +
+Jobs are JSON with exact numbers only (integers or "p/q" strings), in the
+format schema/job.schema.json describes.  parse_job reads each job once:
+typed checks of each field raise SchemaError at the first one off that
+format, rational parsing and graph checks raise diagnostics naming the
+offending field, and each payload becomes the domain objects that run_job
+reads.  A body job's result keeps the body it computed for rendering.
+Results are deterministic: the canonical section (job echo + computed objects +
 warnings + status) serializes to identical bytes on every run; timing
 lives outside it.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.resources
 import itertools
 import json
-import numbers
 import random
 import time
 from dataclasses import dataclass, field
@@ -24,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import curves, linsys, rank, toric
-from .errors import (ConsistencyError, EmptySystemError, OkbodiesError,
+from .errors import (EmptySystemError, NonIntegerDivisor, OkbodiesError,
                      SchemaError, UnknownVertex)
 from .graphs import Divisor, Graph, GraphFunction
 from .oracles import RankOracle
@@ -35,170 +33,69 @@ from .sampling import random_divisor, random_graph, random_member
 
 EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
 
-
-@functools.cache
-def _schema() -> dict:
-    """The job schema, loaded and checked once."""
-    text = (importlib.resources.files("okbodies") / "schema" /
-            "job.schema.json").read_text()
-    return _checked_schema(json.loads(text))
-
-
-def _checked_schema(schema: dict) -> dict:
-    """`schema`, refused with ConsistencyError unless it is draft-07 and
-    `_conforms` decides it exactly, so that the two never drift apart."""
-    if schema.get("$schema") not in _DRAFT_07:
-        raise ConsistencyError(f"the job schema is not draft-07: "
-                               f"{schema.get('$schema')!r}")
-    defs = schema.get("definitions", {})
-    _refuse_unsupported({k: v for k, v in schema.items() if k not in _ROOT_ONLY}, defs)
-    for sub in defs.values():
-        _refuse_unsupported(sub, defs)
-    return schema
-
-
-@functools.cache
-def _validator():
-    """jsonschema's validator of the job schema, its schema checked once.
-    jsonschema is imported here, not with the module: it only words the
-    diagnostic of a job `_conforms` rejects, and loading it costs about
-    5 MB of resident memory."""
-    import jsonschema
-    jsonschema.Draft7Validator.check_schema(_schema())
-    return jsonschema.Draft7Validator(_schema())
-
-
-# `_conforms` decides acceptance without jsonschema's per-node walk, for the
-# draft-07 keywords below.  Each check holds vacuously where draft 07 says
-# the keyword does not apply (`required` on a non-object, and so on).
-_DRAFT_07 = ("http://json-schema.org/draft-07/schema#",
-             "http://json-schema.org/draft-07/schema")
-_DEFS = "#/definitions/"
-_ROOT_ONLY = {"$schema", "$id", "definitions"}
-# keywords that never reject on their own: `then` is read by `if`
-_INERT = {"title", "then"}
-# the draft-07 types as jsonschema checks them: a boolean is no number,
-# and a float with no fractional part is an integer
-_TYPES = {
-    "array": lambda x: isinstance(x, list),
-    "boolean": lambda x: isinstance(x, bool),
-    "integer": lambda x: not isinstance(x, bool) and (
-        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
-    "null": lambda x: x is None,
-    "number": lambda x: not isinstance(x, bool) and isinstance(x, numbers.Number),
-    "object": lambda x: isinstance(x, dict),
-    "string": lambda x: isinstance(x, str),
+# (required, optional) keys of each kind's payload; a verify payload's keys
+# follow its target
+_PAYLOAD_KEYS = {
+    "linsys": (("op", "graph", "divisor"), ("effective", "phi")),
+    "rank": (("graph", "divisor"), ("base",)),
+    "curve-body": (("graph", "divisor", "flag"), ()),
+    "toric-body": (("model", "flag"), ()),
 }
-
-
-def _type(types, x, s, defs):
-    if isinstance(types, str):
-        return _TYPES[types](x)
-    return any(_TYPES[t](x) for t in types)
-
-
-def _properties(props, x, s, defs):
-    return not isinstance(x, dict) or all(
-        _holds(sub, x[k], defs) for k, sub in props.items() if k in x)
-
-
-def _additional(extra, x, s, defs):
-    if not isinstance(x, dict):
-        return True
-    props = s.get("properties", {})
-    return all(_holds(extra, v, defs) for k, v in x.items() if k not in props)
-
-
-def _items(items, x, s, defs):
-    if not isinstance(x, list):
-        return True
-    if isinstance(items, list):
-        return all(_holds(sub, v, defs) for sub, v in zip(items, x))
-    return all(_holds(items, v, defs) for v in x)
-
-
-_KEYWORDS = {
-    "type": _type,
-    # enum and const values are strings (see _refuse_unsupported), which
-    # a JSON value equals exactly when draft 07 says it does
-    "enum": lambda values, x, s, defs: x in values,
-    "const": lambda value, x, s, defs: x == value,
-    "required": lambda keys, x, s, defs: (
-        not isinstance(x, dict) or all(k in x for k in keys)),
-    "properties": _properties,
-    "additionalProperties": _additional,
-    "items": _items,
-    "minItems": lambda m, x, s, defs: not isinstance(x, list) or len(x) >= m,
-    "maxItems": lambda m, x, s, defs: not isinstance(x, list) or len(x) <= m,
-    # `not x < m` rather than `x >= m`: NaN passes, as in jsonschema
-    "minimum": lambda m, x, s, defs: not (_TYPES["number"](x) and x < m),
-    "allOf": lambda subs, x, s, defs: all(_holds(sub, x, defs) for sub in subs),
-    # if/then is an implication: an exact "no" on `if` is what lets a
-    # valid document skip its `then`
-    "if": lambda cond, x, s, defs: (
-        not _holds(cond, x, defs) or _holds(s.get("then", True), x, defs)),
-    "$ref": None,  # resolved in _holds
+_TARGET_KEYS = {
+    "curve-body": (("target", "graph", "divisor", "flag"), ("seed",)),
+    "toric-body": (("target", "model", "flag"), ("seed",)),
+    "linsys": (("target", "graph", "divisor"), ("seed",)),
+    "rank": (("target", "graph", "divisor"), ("base", "seed")),
+    "random-curves": (("target",), ("count", "seed")),
 }
+# A type is checked exactly: json.loads makes no subclasses, so a bool or
+# 1.0 is no int.
+_JSON_NAMES = {int: "integer", str: "string", bool: "boolean"}
 
 
-def _holds(s, x, defs) -> bool:
-    if isinstance(s, bool):
-        return s
-    ref = s.get("$ref")
-    if ref is not None:  # draft 07 ignores the siblings of $ref
-        return _holds(defs[ref[len(_DEFS):]], x, defs)
-    for key, value in s.items():
-        check = _KEYWORDS.get(key)
-        if check is not None and not check(value, x, s, defs):
-            return False
-    return True
+def _fail(path: tuple, message: str):
+    raise SchemaError(f"at {'/'.join(str(p) for p in path) or '<root>'}: {message}")
 
 
-def _conforms(schema: dict, doc) -> bool:
-    """Whether `doc` is valid against the draft-07 `schema`, which must
-    pass `_checked_schema`.  Exact both ways, not merely conservative:
-    it equals the validator's `is_valid(doc)`."""
-    return _holds(schema, doc, schema.get("definitions", {}))
+def _object(doc, path: tuple, required=(), allowed=None) -> dict:
+    """`doc`, an object with every key of `required` and, unless `allowed`
+    is None, no key outside `required` and `allowed`."""
+    if type(doc) is not dict:
+        _fail(path, f"{doc!r} is not of type 'object'")
+    for key in required:
+        if key not in doc:
+            _fail(path, f"{key!r} is a required property")
+    if allowed is not None:
+        extra = [k for k in doc if k not in required and k not in allowed]
+        if extra:
+            _fail(path, f"Additional properties are not allowed "
+                        f"({', '.join(map(repr, extra))} "
+                        f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+    return doc
 
 
-def _subschemas(key: str, value) -> list:
-    if key == "properties":
-        return list(value.values())
-    if key == "allOf" or (key == "items" and isinstance(value, list)):
-        return value
-    if key in ("items", "additionalProperties", "if", "then"):
-        return [value]
-    return []
+def _array(doc, path: tuple, min_items=0, max_items=None) -> list:
+    """`doc`, an array of `min_items` to `max_items` items."""
+    if type(doc) is not list:
+        _fail(path, f"{doc!r} is not of type 'array'")
+    if len(doc) < min_items:
+        _fail(path, f"{doc!r} is too short")
+    if max_items is not None and len(doc) > max_items:
+        _fail(path, f"{doc!r} is too long")
+    return doc
 
 
-def _refuse_unsupported(schema, defs) -> None:
-    """Raise ConsistencyError at the first keyword, $ref form, type name or
-    enum value of `schema` (below the root's own keywords) that `_conforms`
-    does not decide."""
-    if isinstance(schema, bool):
-        return
-    for key, value in schema.items():
-        if key not in _KEYWORDS and key not in _INERT:
-            raise ConsistencyError(f"the job schema uses {key!r}, which "
-                                   f"the acceptance check does not decide")
-        if key == "$ref":
-            # a plain name: no JSON-pointer or percent escapes to decode
-            name = value[len(_DEFS):] if value.startswith(_DEFS) else None
-            if name not in defs or any(c in name for c in "~/%"):
-                raise ConsistencyError(f"the job schema's $ref {value!r} is "
-                                       f"not a name in {_DEFS}")
-        if key == "type":
-            names = [value] if isinstance(value, str) else value
-            if not set(names) <= set(_TYPES):
-                raise ConsistencyError(f"the job schema's type {value!r} is "
-                                       f"not a draft-07 type")
-        if key in ("enum", "const"):
-            values = value if key == "enum" else [value]
-            if not all(isinstance(v, str) for v in values):
-                raise ConsistencyError(f"the job schema's {key} {value!r} is "
-                                       f"not all strings")
-        for sub in _subschemas(key, value):
-            _refuse_unsupported(sub, defs)
+def _scalar(doc, path: tuple, *types, minimum=None, among=None):
+    """`doc`, of one of the Python `types`, at least `minimum` and one of
+    `among` when they are given."""
+    if type(doc) not in types:
+        _fail(path, f"{doc!r} is not of type "
+                    f"{', '.join(repr(_JSON_NAMES[t]) for t in types)}")
+    if minimum is not None and doc < minimum:
+        _fail(path, f"{doc!r} is less than the minimum of {minimum}")
+    if among is not None and doc not in among:
+        _fail(path, f"{doc!r} is not one of {list(among)!r}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -250,24 +147,35 @@ def parse_job(text: str) -> JobFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not _conforms(_schema(), doc):
-        import jsonschema  # to word the diagnostic; see _validator
-        exc = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-        if exc is not None:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise SchemaError(f"at {path}: {exc.message}") from exc
-    return JobFile(doc["kind"], doc["payload"], doc.get("options", {}),
-                   _parse_payload(doc["kind"], doc["payload"]))
+    _object(doc, (), ("kind", "payload"), ("options",))
+    kind = _scalar(doc["kind"], ("kind",), str, among=(*_PAYLOAD_KEYS, "verify"))
+    options = _object(doc.get("options", {}), ("options",), (), ("window", "output"))
+    if "window" in options:
+        path = ("options", "window")
+        for i, w in enumerate(_array(options["window"], path, 4, 4)):
+            _scalar(w, path + (i,), int, str)
+    if "output" in options:
+        _scalar(options["output"], ("options", "output"), str)
+    return JobFile(kind, doc["payload"], options, _parse_payload(kind, doc["payload"]))
 
 
-def _parse_graph(payload: dict) -> Graph:
-    gdoc = payload["graph"]
-    return Graph(gdoc["vertices"], [tuple(e) for e in gdoc["edges"]])
+def _parse_graph(gdoc, path: tuple) -> Graph:
+    _object(gdoc, path, ("vertices", "edges"), ())
+    vertices = _array(gdoc["vertices"], path + ("vertices",), 1)
+    for i, v in enumerate(vertices):
+        _scalar(v, path + ("vertices", i), str)
+    edges = _array(gdoc["edges"], path + ("edges",))
+    for i, e in enumerate(edges):
+        for j, v in enumerate(_array(e, path + ("edges", i), 2, 2)):
+            _scalar(v, path + ("edges", i, j), str)
+    return Graph(vertices, [tuple(e) for e in edges])
 
 
-def _parse_vertexmap(g: Graph, doc: dict, field: str, cls):
+def _parse_vertexmap(g: Graph, doc, path: tuple, cls):
+    field = ".".join(path[1:])  # below "payload"
     parsed = {}
-    for v, q in doc.items():
+    for v, q in _object(doc, path).items():
+        _scalar(q, path + (v,), int, str)
         try:
             parsed[v] = parse_rational(q)
         except OkbodiesError as exc:
@@ -278,56 +186,92 @@ def _parse_vertexmap(g: Graph, doc: dict, field: str, cls):
         raise UnknownVertex(f"in {field}: {exc}") from exc
 
 
-def _parse_curve_job(payload: dict) -> curves.CurveBodyJob:
-    g = _parse_graph(payload)
-    lam = _parse_vertexmap(g, payload["divisor"], "divisor", Divisor)
-    fdoc = payload["flag"]
-    if fdoc["type"] == "tropical":
-        if "y1" not in fdoc:
-            raise SchemaError("tropical flags need a 'y1' specialization")
-        y1 = _parse_vertexmap(g, fdoc["y1"], "flag.y1", Divisor)
-        flag = curves.TropicalFlag(y1, fdoc["vertex"])
-    else:
-        flag = curves.ArakelovFlag(fdoc["vertex"])
-    return curves.CurveBodyJob(g, lam, flag)
+def _parse_curve_job(p: dict, path: tuple) -> curves.CurveBodyJob:
+    g = _parse_graph(p["graph"], path + ("graph",))
+    lam = _parse_vertexmap(g, p["divisor"], path + ("divisor",), Divisor)
+    path += ("flag",)
+    fdoc = _object(p["flag"], path, ("type", "vertex"), ("y1",))
+    ftype = _scalar(fdoc["type"], path + ("type",), str, among=("tropical", "arakelov"))
+    vertex = _scalar(fdoc["vertex"], path + ("vertex",), str)
+    y1 = None
+    if "y1" in fdoc:
+        y1 = _parse_vertexmap(g, fdoc["y1"], path + ("y1",), Divisor)
+    elif ftype == "tropical":
+        _fail(path, "'y1' is a required property")
+    if ftype == "tropical":
+        return curves.CurveBodyJob(g, lam, curves.TropicalFlag(y1, vertex))
+    return curves.CurveBodyJob(g, lam, curves.ArakelovFlag(vertex))
 
 
-def _parse_toric(payload: dict):
-    mdoc = payload["model"]
-    model = toric.ToricModel(mdoc["ambient_dim"],
-                             [(tuple(u), a) for u, a in mdoc["generic_rays"]],
-                             [(tuple(v), a) for v, a in mdoc["vertical_vertices"]])
-    flag = toric.ToricFlag([(tuple(w), a) for w, a in payload["flag"]["rays"]])
+def _rays(doc, path: tuple, min_items: int) -> list:
+    """The (vector, height) pairs of a list of rays [[int, ...], int]."""
+    rays = []
+    for i, ray in enumerate(_array(doc, path, min_items)):
+        u, a = _array(ray, path + (i,), 2, 2)
+        for j, c in enumerate(_array(u, path + (i, 0))):
+            _scalar(c, path + (i, 0, j), int)
+        rays.append((tuple(u), _scalar(a, path + (i, 1), int)))
+    return rays
+
+
+def _parse_toric(p: dict, path: tuple):
+    mpath, fpath = path + ("model",), path + ("flag",)
+    mdoc = _object(p["model"], mpath,
+                   ("ambient_dim", "generic_rays", "vertical_vertices"), ())
+    model = toric.ToricModel(
+        _scalar(mdoc["ambient_dim"], mpath + ("ambient_dim",), int, minimum=1),
+        _rays(mdoc["generic_rays"], mpath + ("generic_rays",), 1),
+        _rays(mdoc["vertical_vertices"], mpath + ("vertical_vertices",), 1))
+    fdoc = _object(p["flag"], fpath, ("rays",), ())
+    flag = toric.ToricFlag(_rays(fdoc["rays"], fpath + ("rays",), 2))
     flag.validate(model)
     return model, flag
 
 
-def _parse_payload(kind: str, p: dict) -> tuple:
-    """The domain objects of a schema-valid payload, raising with a
-    field-level diagnostic.  A verify job gets its target's objects."""
-    target = p["target"] if kind == "verify" else kind
-    if target == "curve-body":
-        return (_parse_curve_job(p),)
-    if target == "toric-body":
-        return _parse_toric(p)
-    if target == "random-curves":
-        return ()  # count and seed are schema-checked
-    g = _parse_graph(p)
-    lam = _parse_vertexmap(g, p["divisor"], "divisor", Divisor)
+def _parse_payload(kind: str, p) -> tuple:
+    """The domain objects of a payload, raising SchemaError at the first
+    field that does not match the schema and a field-level diagnostic for
+    the rest.  A verify job gets its target's objects."""
+    path = ("payload",)
     if kind == "verify":
-        return g, lam, p.get("base")
+        _object(p, path, ("target",))
+        target = _scalar(p["target"], path + ("target",), str, among=_TARGET_KEYS)
+        _object(p, path, *_TARGET_KEYS[target])
+        if "seed" in p:
+            _scalar(p["seed"], path + ("seed",), int)
+        if "count" in p:
+            _scalar(p["count"], path + ("count",), int, minimum=1)
+    else:
+        target = kind
+        _object(p, path, *_PAYLOAD_KEYS[kind])
+    if target == "curve-body":
+        return (_parse_curve_job(p, path),)
+    if target == "toric-body":
+        return _parse_toric(p, path)
+    if target == "random-curves":
+        return ()
+    g = _parse_graph(p["graph"], path + ("graph",))
+    lam = _parse_vertexmap(g, p["divisor"], path + ("divisor",), Divisor)
+    base = _scalar(p["base"], path + ("base",), str) if "base" in p else None
+    if kind == "verify":
+        return g, lam, base
     if kind == "rank":
         if not lam.is_integral():
-            raise SchemaError("rank jobs need an integer divisor")
-        base = p.get("base", g.vertices[0])
+            raise NonIntegerDivisor("rank jobs need an integer divisor")
+        if base is None:
+            base = g.vertices[0]
         g.index(base)
         return g, lam, base
+    op = _scalar(p["op"], path + ("op",), str, among=("min", "member", "shift"))
+    effective = True
+    if "effective" in p:
+        effective = _scalar(p["effective"], path + ("effective",), bool)
     phi = None
-    if p["op"] == "member":
-        if "phi" not in p:
-            raise SchemaError("linsys member needs a 'phi' function")
-        phi = _parse_vertexmap(g, p["phi"], "phi", GraphFunction)
-    return linsys.LinearSystemSpec(g, lam, p.get("effective", True)), p["op"], phi
+    if "phi" in p:
+        phi = _parse_vertexmap(g, p["phi"], path + ("phi",), GraphFunction)
+    elif op == "member":
+        _fail(path, "'phi' is a required property")
+    return linsys.LinearSystemSpec(g, lam, effective), op, phi
 
 
 def _rat_map(vec) -> dict:

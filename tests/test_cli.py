@@ -8,7 +8,8 @@ import pytest
 
 from okbodies import curves
 from okbodies.cli import main
-from okbodies.errors import BadRational, ConsistencyError, SchemaError
+from okbodies.errors import (BadRational, ConsistencyError, NonIntegerDivisor,
+                             SchemaError)
 from okbodies.jobs import _body_doc, parse_job, run_job
 from okbodies.plf import PiecewiseLinearFunction
 
@@ -101,10 +102,53 @@ def test_bad_rational():
         parse_job(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key, value", [("svg", "fig.svg"), ("seed", 1)])
+def test_unread_options_refused(key, value):
+    # --svg and --seed are command-line flags; the job's options do not take them
+    with open(jobpath("quartic-rank.json")) as fh:
+        doc = json.load(fh)
+    doc["options"] = {key: value}
+    with pytest.raises(SchemaError) as info:
+        parse_job(json.dumps(doc))
+    assert str(info.value) == (
+        f"at options: Additional properties are not allowed ('{key}' was unexpected)")
+
+
+def test_rank_job_needs_an_integer_divisor(tmp_path, capsys):
+    # schema-valid, so not a SchemaError: the class rank.q_reduced raises
+    doc = {"kind": "rank",
+           "payload": {"graph": {"vertices": ["a"], "edges": []},
+                       "divisor": {"a": "1/2"}}}
+    with pytest.raises(NonIntegerDivisor):
+        parse_job(json.dumps(doc))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    assert run(["rank", "--input", str(job)]) == 1
+    assert capsys.readouterr().err == "error: rank jobs need an integer divisor\n"
+
+
 def test_float_coefficients_rejected():
     doc = {"kind": "rank",
            "payload": {"graph": {"vertices": ["a"], "edges": []},
                        "divisor": {"a": 0.5}}}
+    with pytest.raises(SchemaError):
+        parse_job(json.dumps(doc))
+    # a float is refused even where it equals an integer
+    doc["payload"]["divisor"]["a"] = 1.0
+    with pytest.raises(SchemaError):
+        parse_job(json.dumps(doc))
+    with open(jobpath("toric-d1.json")) as fh:
+        toric = json.load(fh)
+    for path, value in [(("ambient_dim",), 1.0), (("generic_rays", 0, 0, 0), 1.0),
+                        (("generic_rays", 0, 1), 0.0)]:
+        doc = json.loads(json.dumps(toric))
+        node = doc["payload"]["model"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SchemaError):
+            parse_job(json.dumps(doc))
+    doc = {"kind": "verify", "payload": {"target": "random-curves", "count": 2.0}}
     with pytest.raises(SchemaError):
         parse_job(json.dumps(doc))
 
@@ -211,6 +255,23 @@ def test_internal_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
     if not isinstance(exc, ConsistencyError):
         assert err.startswith("internal error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"target": "curve-body"},
+    {"target": "rank"},
+    {"target": "linsys"},
+    {"target": "toric-body"},
+    {"target": "curve-body", "graph": {"vertices": ["a"], "edges": []},
+     "divisor": {"a": 1}, "flag": {}},
+])
+def test_verify_needs_its_targets_fields(tmp_path, capsys, payload):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"kind": "verify", "payload": payload}))
+    assert run(["verify", "--input", str(job)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: at payload")
+    assert "Traceback" not in err
 
 
 def _verify_job(tmp_path, payload):

@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import curves, jobs
 from .errors import OkbodiesError, WindowEmpty
 from .jobs import EXIT_ERROR
-from .rationals import parse_rational
 from .svgplot import render_svg
 
 
@@ -74,13 +73,6 @@ def _check_match(args, job) -> None:
                 f"job flag type {ftype!r} does not match {args.regime!r}")
 
 
-def _parse_window(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise OkbodiesError("--window needs four comma-separated rationals")
-    return tuple(parse_rational(p) for p in parts)
-
-
 def _default_window(body) -> tuple:
     """A window with one unit of margin around the bounded features."""
     if isinstance(body, curves.NOBody2D):
@@ -104,13 +96,10 @@ def _render(args, job, result) -> None:
     body = result.body
     if job.kind == "toric-body" and body.dimension != 2:
         raise OkbodiesError(f"--svg needs a 2-D body; this body is {body.dimension}-D")
-    window = None
     if args.window:
-        window = _parse_window(args.window)
-    elif "window" in job.options:
-        window = tuple(parse_rational(w) for w in job.options["window"])
-    if window is None:
-        window = _default_window(body)
+        window = jobs.parse_window(args.window.split(","), "--window")
+    else:
+        window = job.window or _default_window(body)
     svg = render_svg(body, window)
     with open(args.svg, "w") as fh:
         fh.write(svg)

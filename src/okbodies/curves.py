@@ -41,7 +41,7 @@ from .linalg import dot
 from .linsys import (EnrichedSystemSpec, LinearSystemSpec, build_system,
                      enriched_system, least_element_path, minimal_element)
 from .parametric import ParametricResult, parametric_value_function
-from .plf import PiecewiseLinearFunction, constant_plf
+from .plf import PiecewiseLinearFunction
 from .polyhedra import HPolyhedron, enumerate_v_rep, project_out
 
 # Largest graph `cross_verify` projects by Fourier-Motzkin.  On the ladder
@@ -145,37 +145,38 @@ def _tropical_end(job: CurveBodyJob) -> Fraction:
     return job.lam.degree() / job.flag.y1_specialization.degree()
 
 
-def _tropical_warnings(t_feasible, t_end) -> Tuple[str, ...]:
-    if t_feasible == t_end:
-        return ()
-    return (f"family infeasible past t = {t_feasible}; "
-            f"body emitted over [0, {t_feasible}] instead of [0, {t_end}]",)
+def _check_tropical_end(t_feasible, t_end) -> None:
+    """A route must reach t_end: for t <= t_end, D = Lam - t*Lam1 has
+    degree >= 0, so (deg D / n) - D = laplacian(phi) for a rational phi,
+    which a constant shift makes >= 0, and L+(D) is not empty."""
+    if t_feasible != t_end:
+        raise ConsistencyError(
+            f"the family is empty past t = {t_feasible} although its degree "
+            f"is >= 0 up to t = {t_end}")
 
 
-def _band_warnings(t_start) -> Tuple[str, ...]:
-    if t_start <= 0:
-        return ()
-    return (f"members must vanish to order >= {t_start} at the flag component; "
-            f"band starts at t = {t_start}, not 0",)
+def _overgraph(lower: PiecewiseLinearFunction) -> NOBody2D:
+    return NOBody2D("overgraph", lower, None, (Fraction(0), Fraction(1)))
 
 
-def _overgraph(lower: PiecewiseLinearFunction, warnings) -> NOBody2D:
-    return NOBody2D("overgraph", lower, None, (Fraction(0), Fraction(1)), warnings)
-
-
-def _band(upper: PiecewiseLinearFunction, t_start, warnings) -> NOBody2D:
+def _band(upper: PiecewiseLinearFunction, t_start) -> NOBody2D:
+    """The band between 0 and `upper` from t_start on, which warns when
+    members must vanish at the flag component."""
     if upper.tail_slope != 0:
         raise ConsistencyError("upper function is not eventually constant")
-    return NOBody2D("band", constant_plf(t_start, None, 0), upper,
-                    (Fraction(1), Fraction(0)), warnings)
+    warnings = ()
+    if t_start > 0:
+        warnings = (f"members must vanish to order >= {t_start} at the flag "
+                    f"component; band starts at t = {t_start}, not 0",)
+    zero = PiecewiseLinearFunction(((t_start, 0),), tail_slope=0)
+    return NOBody2D("band", zero, upper, (Fraction(1), Fraction(0)), warnings)
 
 
 def combinatorial_body(job: CurveBodyJob) -> NOBody2D:
     """The body by the least-element route.
 
     Tropical: the path of least elements of L+(Lam - t*Lam1) over
-    t in [0, deg Lam / deg Lam1]; a(t) is its value at the flag vertex,
-    and the path ends early where the family becomes empty.
+    t in [0, deg Lam / deg Lam1]; a(t) is its value at the flag vertex.
 
     Arakelov: the path starts at t_start = pi(v), pi the least element of
     L+(Lam).  For t >= t_start, z(t) is the least element on V - {v} of the
@@ -193,9 +194,10 @@ def combinatorial_body(job: CurveBodyJob) -> NOBody2D:
                                   0, t_end)
         if path is None:
             raise ConsistencyError(_NONEMPTY_AT_ZERO)
+        _check_tropical_end(path[-1][1], t_end)
         lower = PiecewiseLinearFunction.from_pieces(
             [(lo, hi, a[iv], b[iv]) for lo, hi, a, b in path], shape="convex")
-        return _overgraph(lower, _tropical_warnings(path[-1][1], t_end))
+        return _overgraph(lower)
     pi = minimal_element(LinearSystemSpec(g, job.lam, True))
     if pi is None:
         raise EmptySystemError("the effective system is empty")
@@ -209,7 +211,7 @@ def combinatorial_body(job: CurveBodyJob) -> NOBody2D:
               for lo, hi, a, b in path]
     upper = PiecewiseLinearFunction.from_pieces(pieces, shape="concave",
                                                 tail_slope=pieces[-1][3])
-    return _band(upper, t_start, _band_warnings(t_start))
+    return _band(upper, t_start)
 
 
 def _tropical_family(job: CurveBodyJob):
@@ -224,9 +226,9 @@ def _tropical_family(job: CurveBodyJob):
     return rows, b0, b1, objective
 
 
-def tropical_body_parametric(job: CurveBodyJob) -> Tuple[ParametricResult, Tuple[str, ...]]:
-    """The parametric LP over [0, t_end]; the family shrinks as t grows, so
-    it is empty everywhere iff it is empty at t = 0."""
+def tropical_body_parametric(job: CurveBodyJob) -> ParametricResult:
+    """The parametric LP over [0, t_end]; the family is nonempty on all of
+    it (see _check_tropical_end)."""
     t_end = _tropical_end(job)
     rows, b0, b1, objective = _tropical_family(job)
     try:
@@ -234,7 +236,8 @@ def tropical_body_parametric(job: CurveBodyJob) -> Tuple[ParametricResult, Tuple
                                            (Fraction(0), t_end))
     except InfeasibleEverywhere:
         raise ConsistencyError(_NONEMPTY_AT_ZERO) from None
-    return result, _tropical_warnings(result.feasible_end, t_end)
+    _check_tropical_end(result.feasible_end, t_end)
+    return result
 
 
 def tropical_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
@@ -292,18 +295,16 @@ def _arakelov_family(job: CurveBodyJob):
     return rows, b0, b1, objective
 
 
-def arakelov_body_parametric(job: CurveBodyJob) -> Tuple[ParametricResult, Fraction, Tuple[str, ...]]:
-    """Returns (raw parametric result for max laplacian(phi)(v), the start
-    abscissa, warnings).  The body's upper function is Lam(v) + val(t).
-    The start is the left end of the family's feasible range over t >= 0."""
+def arakelov_body_parametric(job: CurveBodyJob) -> ParametricResult:
+    """The parametric LP of max laplacian(phi)(v) over t >= 0.  The body's
+    upper function is Lam(v) + its value, from the left end of its feasible
+    range (`feasible_start`) on."""
     rows, b0, b1, objective = _arakelov_family(job)
     try:
-        result = parametric_value_function(rows, b0, b1, objective, "max",
-                                           (Fraction(0), None))
+        return parametric_value_function(rows, b0, b1, objective, "max",
+                                         (Fraction(0), None))
     except InfeasibleEverywhere:
         raise EmptySystemError("the effective system is empty") from None
-    t_start = result.feasible_start
-    return result, t_start, _band_warnings(t_start)
 
 
 def arakelov_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
@@ -330,15 +331,14 @@ def arakelov_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
 def _parametric_body(job: CurveBodyJob) -> NOBody2D:
     """The body by the parametric route; the only place it is assembled."""
     if isinstance(job.flag, TropicalFlag):
-        result, warnings = tropical_body_parametric(job)
-        return _overgraph(result.function, warnings)
-    result, t_start, warnings = arakelov_body_parametric(job)
+        return _overgraph(tropical_body_parametric(job).function)
+    result = arakelov_body_parametric(job)
     shift = job.lam[job.flag.vertex]
     raw = result.function
     upper = PiecewiseLinearFunction(
         tuple((t, v + shift) for t, v in raw.breakpoints),
         tail_slope=raw.tail_slope, shape="concave")
-    return _band(upper, t_start, warnings)
+    return _band(upper, result.feasible_start)
 
 
 def compute_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:

@@ -18,16 +18,15 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import curves, linsys, rank, toric
 from .errors import (EmptySystemError, NonIntegerDivisor, OkbodiesError,
-                     SchemaError, UnknownVertex)
+                     SchemaError, UnknownVertex, WindowEmpty)
 from .graphs import Divisor, Graph, GraphFunction
 from .oracles import RankOracle
 from .plf import PiecewiseLinearFunction
-from .polyhedra import VPolyhedron, vrep_equal
+from .polyhedra import VPolyhedron, enumerate_v_rep
 from .rationals import format_rational, parse_rational
 from .sampling import random_divisor, random_graph, random_member
 
@@ -103,8 +102,10 @@ class JobFile:
     kind: str
     payload: dict
     options: dict
-    # the payload's domain objects, from _parse_payload; never written out
+    # the payload's domain objects, from _parse_payload, and the Fractions
+    # of options.window (or None); never compared or written out
     parsed: tuple = field(compare=False, repr=False)
+    window: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def as_document(self) -> dict:
         doc = {"kind": self.kind, "payload": self.payload}
@@ -150,13 +151,35 @@ def parse_job(text: str) -> JobFile:
     _object(doc, (), ("kind", "payload"), ("options",))
     kind = _scalar(doc["kind"], ("kind",), str, among=(*_PAYLOAD_KEYS, "verify"))
     options = _object(doc.get("options", {}), ("options",), (), ("window", "output"))
+    window = None
     if "window" in options:
         path = ("options", "window")
         for i, w in enumerate(_array(options["window"], path, 4, 4)):
             _scalar(w, path + (i,), int, str)
+        window = parse_window(options["window"], "options.window")
     if "output" in options:
         _scalar(options["output"], ("options", "output"), str)
-    return JobFile(kind, doc["payload"], options, _parse_payload(kind, doc["payload"]))
+    return JobFile(kind, doc["payload"], options,
+                   _parse_payload(kind, doc["payload"]), window)
+
+
+def parse_window(values, name: str) -> tuple:
+    """The exact rationals (x0, x1, y0, y1) of a viewing window, which
+    must have x0 < x1 and y0 < y1; errors name the field `name`."""
+    if len(values) != 4:
+        raise OkbodiesError(f"{name} needs four rationals x0, x1, y0, y1")
+    window = tuple(_rational(w, f"{name}[{i}]") for i, w in enumerate(values))
+    x0, x1, y0, y1 = window
+    if not (x0 < x1 and y0 < y1):
+        raise WindowEmpty(f"{name} needs x0 < x1 and y0 < y1")
+    return window
+
+
+def _rational(q, field: str):
+    try:
+        return parse_rational(q)
+    except OkbodiesError as exc:
+        raise type(exc)(f"in {field}: {exc}") from exc
 
 
 def _parse_graph(gdoc, path: tuple) -> Graph:
@@ -175,11 +198,7 @@ def _parse_vertexmap(g: Graph, doc, path: tuple, cls):
     field = ".".join(path[1:])  # below "payload"
     parsed = {}
     for v, q in _object(doc, path).items():
-        _scalar(q, path + (v,), int, str)
-        try:
-            parsed[v] = parse_rational(q)
-        except OkbodiesError as exc:
-            raise type(exc)(f"in {field}[{v!r}]: {exc}") from exc
+        parsed[v] = _rational(_scalar(q, path + (v,), int, str), f"{field}[{v!r}]")
     try:
         return cls(g, parsed)
     except UnknownVertex as exc:
@@ -266,6 +285,11 @@ def _parse_payload(kind: str, p) -> tuple:
     effective = True
     if "effective" in p:
         effective = _scalar(p["effective"], path + ("effective",), bool)
+        # without phi >= 0 the system is closed under adding constants, so
+        # it has no least element to find or shift by
+        if not effective and op != "member":
+            _fail(path + ("effective",),
+                  f"false is allowed only with op 'member', not {op!r}")
     phi = None
     if "phi" in p:
         phi = _parse_vertexmap(g, p["phi"], path + ("phi",), GraphFunction)
@@ -340,9 +364,8 @@ def _dispatch(job: JobFile, seed):
             result["generic_lattice_points"] = toric.lattice_point_count(
                 toric.build_generic_polytope(model))
         return ("empty" if body.is_empty() else "ok"), result, [], body
-    if job.kind == "verify":
-        return (*_run_verify(job.payload, job.parsed, seed), None)
-    raise SchemaError(f"unknown job kind {job.kind!r}")
+    # parse_job admits no kind but these five
+    return (*_run_verify(job.payload, job.parsed, seed), None)
 
 
 def _run_linsys(spec: linsys.LinearSystemSpec, op: str, phi):
@@ -410,16 +433,17 @@ def _run_verify(p: dict, parsed: tuple, seed):
                               label=f"job{made}")
     elif target == "toric-body":
         model, flag = parsed
-        body_v = toric.toric_body_vertexmap(model, flag)
-        body_p = toric.toric_body_projection(model, flag)
-        _check(checks, "vertexmap-vs-projection", vrep_equal(body_v, body_p))
+        # both V-representations are canonical as built (toric.toric_body),
+        # and the projection's half-spaces test membership by dot products
+        image = toric.toric_body_halfspaces(model, flag)
+        _check(checks, "vertexmap-vs-projection",
+               toric.toric_body_vertexmap(model, flag) == enumerate_v_rep(image))
         inside = True
         d = model.ambient_dim
-        for m in _small_box(d, 4):
+        for m in itertools.product(range(-4, 5), repeat=d):
             for h in range(0, 5):
                 val = toric.monomial_valuation(model, flag, m, h)
-                if val is not toric.NOT_A_SECTION and not body_v.contains(
-                        [Fraction(x) for x in val]):
+                if val is not toric.NOT_A_SECTION and not image.contains(val):
                     inside = False
         _check(checks, "monomial-valuations-inside", inside)
     elif target == "linsys":
@@ -451,7 +475,3 @@ def _run_verify(p: dict, parsed: tuple, seed):
                f"dhar={main} oracle={oracle}")
     all_pass = all(c["pass"] for c in checks)
     return "ok", {"pass": all_pass, "checks": checks}, []
-
-
-def _small_box(d: int, radius: int):
-    return itertools.product(range(-radius, radius + 1), repeat=d)

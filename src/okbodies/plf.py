@@ -125,14 +125,3 @@ class PiecewiseLinearFunction:
         tail = f", tail_slope={self.tail_slope}" if self.tail_slope is not None else ""
         return f"PLF([{pts}]{tail}, {self.shape})"
 
-
-def constant_plf(t0, t1, value, shape="none") -> PiecewiseLinearFunction:
-    """Constant function on [t0, t1] (t1 None means +infinity)."""
-    value = Fraction(value)
-    if t1 is None:
-        return PiecewiseLinearFunction(((Fraction(t0), value),),
-                                       tail_slope=Fraction(0), shape=shape)
-    t0, t1 = Fraction(t0), Fraction(t1)
-    if t0 == t1:
-        return PiecewiseLinearFunction(((t0, value),), shape=shape)
-    return PiecewiseLinearFunction(((t0, value), (t1, value)), shape=shape)

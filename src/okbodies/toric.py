@@ -11,7 +11,8 @@ special fiber fan (with coefficients a_v).  From these:
 A flag is an ordered lattice basis w_1 .. w_{d+1} of Z^{d+1} picked from
 the model's ray data; the body is the affine image of P_model under
 x_i = <(m, h), w_i> + a_{w_i}.  The image is computed twice (vertex map
-and Fourier-Motzkin) and must agree.
+and Fourier-Motzkin), and the two canonical V-representations must be
+equal.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .errors import (ConsistencyError, DimensionMismatch, DimensionTooLarge,
                      FlagRayUnknown, InvalidToricModel, NotABasis,
                      OutsideGenericPolytope, UnboundedGenericPolytope)
 from .polyhedra import (HPolyhedron, VPolyhedron, in_cone, affine_image,
-                        enumerate_v_rep, project_out, solve_lp, vrep_equal)
-from .simplex import OPTIMAL
+                        enumerate_v_rep, project_out)
 
 IntVec = Tuple[int, ...]
 
@@ -159,19 +159,16 @@ def _flag_map(flag: ToricFlag):
 def toric_body_vertexmap(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
     """Body as the affine image of the V-representation of P_model."""
     flag.validate(model)
-    vrep = enumerate_v_rep(build_model_polyhedron(model))
-    if vrep.is_empty():
-        return VPolyhedron([], [])
     matrix, offset = _flag_map(flag)
-    return affine_image(vrep, matrix, offset)
+    return affine_image(enumerate_v_rep(build_model_polyhedron(model)), matrix, offset)
 
 
-def toric_body_projection(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
-    """Body via Fourier-Motzkin: adjoin x_i = <(m,h), w_i> + a_i as
-    equality pairs in (m, h, x) and eliminate (m, h)."""
+def toric_body_halfspaces(model: ToricModel, flag: ToricFlag) -> HPolyhedron:
+    """Body as an H-polyhedron, by Fourier-Motzkin: adjoin
+    x_i = <(m,h), w_i> + a_i as equality pairs in (m, h, x) and eliminate
+    (m, h)."""
     flag.validate(model)
-    d = model.ambient_dim
-    k = d + 1
+    k = model.ambient_dim + 1
     pmodel = build_model_polyhedron(model)
     rows = [(a + tuple(Fraction(0) for _ in range(k)), b)
             for a, b in pmodel.constraints]
@@ -181,19 +178,32 @@ def toric_body_projection(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
         row[k + i] = Fraction(1)
         rows.append((tuple(row), offset[i]))
         rows.append((tuple(-c for c in row), -offset[i]))
-    lifted = HPolyhedron(2 * k, rows)
-    image = project_out(lifted, range(k))
-    return enumerate_v_rep(image)
+    return project_out(HPolyhedron(2 * k, rows), range(k))
 
 
-def toric_body(model: ToricModel, flag: ToricFlag,
-               cross_check: bool = True) -> VPolyhedron:
+def toric_body_projection(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
+    """Body as the vertices and extreme rays of toric_body_halfspaces."""
+    return enumerate_v_rep(toric_body_halfspaces(model, flag))
+
+
+def toric_body(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
+    """The body by the vertex map, which must equal the projection's body
+    as built, tuple for tuple.
+
+    Equal sets give equal tuples: P_model is pointed (P_D is bounded and
+    h >= 0), and so is its image under the flag map, which is an affine
+    map with linear part W in GL(Z).  So enumerate_v_rep returns the image
+    canonically: its vertices, and its extreme rays as primitive integer
+    vectors, each sorted.  W maps the vertices of P_model onto the
+    vertices of the image, and primitive extreme rays onto primitive
+    extreme rays, and affine_image sorts both.  Being stricter than set
+    equality, the comparison can raise where vrep_equal would not, but
+    can never accept a wrong body."""
     body = toric_body_vertexmap(model, flag)
-    if cross_check:
-        other = toric_body_projection(model, flag)
-        if not vrep_equal(body, other):
-            raise ConsistencyError(
-                f"vertex-map and projection bodies disagree: {body} vs {other}")
+    other = toric_body_projection(model, flag)
+    if body != other:
+        raise ConsistencyError(
+            f"vertex-map and projection bodies disagree: {body} vs {other}")
     for pt in body.vertices:
         if any(c < 0 for c in pt):
             raise ConsistencyError(
@@ -224,25 +234,14 @@ def monomial_valuation(model: ToricModel, flag: ToricFlag, m, h):
 
 def lattice_point_count(poly: HPolyhedron) -> int:
     """Number of integer points of a bounded polytope, dimension <= 3
-    (box scan; a reporting utility, not part of any theorem)."""
-    d = poly.dimension
-    if d > 3:
+    (a scan of the box its vertices span; a reporting utility, not part of
+    any theorem)."""
+    if poly.dimension > 3:
         raise DimensionTooLarge("lattice point counting is capped at dimension 3")
-    if d == 0:
-        return 1
-    bounds = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        lo = solve_lp(poly, e, "min")
-        hi = solve_lp(poly, e, "max")
-        if lo.status != OPTIMAL or hi.status != OPTIMAL:
-            if lo.status == hi.status and lo.status != OPTIMAL:
-                return 0
-            raise UnboundedGenericPolytope("lattice point counting needs a bounded polytope")
-        bounds.append(range(math.ceil(lo.value), math.floor(hi.value) + 1))
-    count = 0
-    for pt in itertools.product(*bounds):
-        if poly.contains([Fraction(x) for x in pt]):
-            count += 1
-    return count
+    vrep = enumerate_v_rep(poly)
+    if vrep.rays:
+        raise UnboundedGenericPolytope("lattice point counting needs a bounded polytope")
+    if vrep.is_empty():
+        return 0
+    box = [range(math.ceil(min(c)), math.floor(max(c)) + 1) for c in zip(*vrep.vertices)]
+    return sum(poly.contains(pt) for pt in itertools.product(*box))

@@ -295,7 +295,7 @@ def test_acceptance_10_structural_invariants():
             bodies.append(compute_body(_random_curve_job(rng), cross_check=False))
         except EmptySystemError:
             pass
-    toric_bodies = [(toric_body(m, f, cross_check=False), f)
+    toric_bodies = [(toric_body(m, f), f)
                     for m, f in _toric_examples()]
 
     for body in bodies:

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from okbodies import curves
+from okbodies import curves, toric
 from okbodies.cli import main
 from okbodies.errors import (BadRational, ConsistencyError, NonIntegerDivisor,
                              SchemaError)
 from okbodies.jobs import _body_doc, parse_job, run_job
 from okbodies.plf import PiecewiseLinearFunction
+from okbodies.polyhedra import VPolyhedron
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
@@ -394,3 +395,96 @@ def test_verify_refuses_graphs_over_the_projection_cap(tmp_path, capsys):
     doc = _ladder_doc(n, "arakelov")
     job.write_text(json.dumps(doc))
     assert run(["curve-body", "arakelov", "--input", str(job), "--output", str(out)]) == 0
+
+
+def _job_doc(name):
+    with open(jobpath(name)) as fh:
+        return json.load(fh)
+
+
+def _write_job(tmp_path, doc):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    return str(job)
+
+
+@pytest.mark.parametrize("argv, name, edit, message", [
+    # without phi >= 0 there is no least element to find or shift by
+    (["linsys", "min"], "path-linsys-min.json", ("payload", "effective", False),
+     "at payload/effective: false is allowed only with op 'member', not 'min'"),
+    (["linsys", "shift"], "path-linsys-shift.json", ("payload", "effective", False),
+     "at payload/effective: false is allowed only with op 'member', not 'shift'"),
+    # options.window is parsed with the job, --svg or not
+    (["curve-body", "tropical"], "quartic-tropical.json", ("options", "window", ["x", 1, 2, 3]),
+     "in options.window[0]: cannot parse rational 'x'"),
+    (["curve-body", "tropical"], "quartic-tropical.json", ("options", "window", [3, 1, 2, 3]),
+     "empty window: options.window needs x0 < x1 and y0 < y1"),
+    (["linsys", "min"], "path-linsys-shift.json", None,
+     "job op 'shift' does not match 'min'"),
+    (["curve-body", "arakelov"], "quartic-tropical.json", None,
+     "job flag type 'tropical' does not match 'arakelov'"),
+    (["rank", "--svg", "SVG"], "quartic-rank.json", None,
+     "--svg is not available for 'rank' jobs"),
+    (["curve-body", "tropical", "--svg", "SVG", "--window", "0,1,2"],
+     "quartic-tropical.json", None, "--window needs four rationals x0, x1, y0, y1"),
+    (["rank"], None, None, "cannot read"),
+], ids=["effective-min", "effective-shift", "window-not-rational", "window-empty",
+        "op-mismatch", "flag-mismatch", "svg-on-rank", "window-three-parts",
+        "unreadable-input"])
+def test_refused_jobs_exit_cleanly(tmp_path, capsys, argv, name, edit, message):
+    job = str(tmp_path / "missing.json")
+    if name is not None:
+        doc = _job_doc(name)
+        if edit is not None:
+            section, key, value = edit
+            doc[section][key] = value
+        job = _write_job(tmp_path, doc)
+    svg, out = tmp_path / "fig.svg", tmp_path / "r.json"
+    argv = [str(svg) if a == "SVG" else a for a in argv]
+    assert run(argv + ["--input", job, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists() and not svg.exists()
+
+
+def test_linsys_member_job_to_stdout(tmp_path, capsys):
+    # no --output and no options.output: the result goes to stdout
+    doc = _job_doc("path-linsys-min.json")
+    doc["payload"].update(op="member", phi={"a": -1, "b": 0})
+    job = _write_job(tmp_path, doc)
+    assert run(["linsys", "member", "--input", job]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical"]["result"] == {"member": False}
+    doc["payload"]["effective"] = False
+    job = _write_job(tmp_path, doc)
+    assert run(["linsys", "member", "--input", job]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical"]["result"] == {"member": True}
+
+
+def test_svg_of_a_curve_body_without_a_window(tmp_path):
+    # one unit of margin around the breakpoints (0, 0), (2, 0), (4, 1/2)
+    doc = _job_doc("quartic-tropical.json")
+    del doc["options"]
+    svg = tmp_path / "fig.svg"
+    assert run(["curve-body", "tropical", "--input", _write_job(tmp_path, doc),
+                "--output", str(tmp_path / "r.json"), "--svg", str(svg)]) == 0
+    ET.parse(svg)
+    text = svg.read_text()
+    assert "(2, 0)" in text and "(4, 1/2)" in text
+
+
+def test_toric_body_of_an_empty_generic_polytope(tmp_path):
+    # P_D = {m >= 1, -m >= 1} is empty, so both routes give the empty body
+    doc = _job_doc("toric-d1.json")
+    doc["payload"]["model"]["generic_rays"] = [[[1], -1], [[-1], -1]]
+    doc["payload"]["flag"]["rays"][0][1] = -1
+    out = tmp_path / "r.json"
+    assert run(["toric-body", "--input", _write_job(tmp_path, doc),
+                "--output", str(out)]) == 2
+    canonical = read_result(out)["canonical"]
+    assert canonical["status"] == "empty"
+    assert canonical["result"] == {"vertices": [], "rays": [], "generic_lattice_points": 0}
+    model, flag = parse_job(json.dumps(doc)).parsed
+    empty = VPolyhedron([], [])
+    assert toric.toric_body_vertexmap(model, flag) == empty
+    assert toric.toric_body_projection(model, flag) == empty

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from okbodies.polyhedra import (VPolyhedron, enumerate_v_rep, project_out,
 from okbodies.toric import (NOT_A_SECTION, ToricFlag, ToricModel,
                             build_generic_polytope, build_model_polyhedron,
                             lattice_point_count, monomial_valuation,
-                            psi_value, toric_body, toric_body_projection,
-                            toric_body_vertexmap)
+                            psi_value, toric_body, toric_body_halfspaces,
+                            toric_body_projection, toric_body_vertexmap)
 
 F = Fraction
 
@@ -133,7 +134,41 @@ def test_body_trivial_ray():
 
 def test_body_routes_agree():
     for m, f in ((model_d1(), flag_d1()), (model_d2(), flag_d2())):
-        assert vrep_equal(toric_body_vertexmap(m, f), toric_body_projection(m, f))
+        body, other = toric_body_vertexmap(m, f), toric_body_projection(m, f)
+        assert body == other and vrep_equal(body, other)
+
+
+def _random_model(rng):
+    """A model on the box rays +-e_i with random heights (P_D may be empty)
+    and distinct vertical vertices, with a flag of the rays (e_i, 0) and
+    one (v, 1) in random order: a lattice basis."""
+    d = rng.choice((1, 2))
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays = [(u, rng.randint(-1, 3)) for u in units]
+    rays += [(tuple(-x for x in u), rng.randint(-1, 3)) for u in units]
+    grid = list(itertools.product(range(-2, 3), repeat=d))
+    verts = [(v, rng.randint(-1, 2)) for v in rng.sample(grid, rng.randint(1, 3))]
+    v, a = rng.choice(verts)
+    flag = [(u + (0,), b) for u, b in rays[:d]] + [(v + (1,), a)]
+    rng.shuffle(flag)
+    return ToricModel(d, rays, verts), ToricFlag(flag)
+
+
+def test_routes_equal_as_built_on_random_models():
+    # both V-representations are canonical as built, so toric_body compares
+    # them as tuples; vrep_equal is the reference, and the projection's
+    # half-spaces hold the same points as the LP membership test
+    rng = random.Random(7)
+    empty = 0
+    for _ in range(12):
+        m, f = _random_model(rng)
+        body, other = toric_body_vertexmap(m, f), toric_body_projection(m, f)
+        assert body == other and vrep_equal(body, other)
+        image = toric_body_halfspaces(m, f)
+        for x in itertools.product(range(-1, 4), repeat=m.ambient_dim + 1):
+            assert image.contains(x) == body.contains(x)
+        empty += body.is_empty()
+    assert 0 < empty < 12
 
 
 def test_homogeneity():
@@ -173,7 +208,6 @@ def test_monomial_valuations():
 
 def test_lattice_saturation():
     # every lattice point of k*P_model maps into k*body, k <= 4, h <= 6
-    import itertools
     for m, f in ((model_d1(), flag_d1()), (model_d2(), flag_d2())):
         body = toric_body(m, f)
         d = m.ambient_dim

@@ -44,10 +44,12 @@ from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction
 from .polyhedra import HPolyhedron, enumerate_v_rep, project_out
 
-# Largest graph `cross_verify` projects by Fourier-Motzkin.  On the ladder
-# instances (C_n plus n//2 chords, tropical flag, Python 3.11 on a 2-CPU
-# VM) the projection took 0.9 s at n = 8, 3.2 s at n = 9, 38 s at n = 10
-# and 156 s at n = 11.
+# Largest graph `cross_verify` projects by Fourier-Motzkin.  The cap does
+# not bound the time, which depends on the vertex order: on the tropical
+# ladder instance (C_n plus n//2 chords, Python 3.11 on a 2-CPU VM) the
+# projection took 2.2-38.5 s at n = 8 over six vertex orders, and two of
+# three n = 10 orders did not finish in 300 s.  ROADMAP.md plans a work
+# budget in its place.
 FM_MAX_VERTICES = 10
 
 # A tropical job has deg Lam > 0, and the Laplacian maps onto the rational

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import curves, linsys, rank, toric
-from .errors import (EmptySystemError, NonIntegerDivisor, OkbodiesError,
-                     SchemaError, UnknownVertex, WindowEmpty)
+from .errors import (DimensionTooLarge, EmptySystemError, NonIntegerDivisor,
+                     OkbodiesError, SchemaError, UnknownVertex, WindowEmpty)
 from .graphs import Divisor, Graph, GraphFunction
 from .oracles import RankOracle
 from .plf import PiecewiseLinearFunction
@@ -31,6 +31,12 @@ from .rationals import format_rational, parse_rational
 from .sampling import random_divisor, random_graph, random_member
 
 EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
+
+# Largest ambient dimension d of a toric `verify` job.  Its valuation walk
+# visits 5 * 9^d monomials.  On box models (generic rays +-e_i of height 2,
+# two vertical vertices; Python 3.11 on a 2-CPU VM) a job took 0.3 s at
+# d = 3, 2.5 s at d = 4 and 24 s at d = 5, so d = 6 would take minutes.
+TORIC_VERIFY_MAX_DIM = 5
 
 # (required, optional) keys of each kind's payload; a verify payload's keys
 # follow its target
@@ -433,13 +439,17 @@ def _run_verify(p: dict, parsed: tuple, seed):
                               label=f"job{made}")
     elif target == "toric-body":
         model, flag = parsed
+        d = model.ambient_dim
+        if d > TORIC_VERIFY_MAX_DIM:
+            raise DimensionTooLarge(
+                f"the toric valuation walk takes at most ambient dimension "
+                f"{TORIC_VERIFY_MAX_DIM}; this model has {d}")
         # both V-representations are canonical as built (toric.toric_body),
         # and the projection's half-spaces test membership by dot products
         image = toric.toric_body_halfspaces(model, flag)
         _check(checks, "vertexmap-vs-projection",
                toric.toric_body_vertexmap(model, flag) == enumerate_v_rep(image))
         inside = True
-        d = model.ambient_dim
         for m in itertools.product(range(-4, 5), repeat=d):
             for h in range(0, 5):
                 val = toric.monomial_valuation(model, flag, m, h)

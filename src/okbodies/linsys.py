@@ -44,18 +44,13 @@ class EnrichedSystemSpec:
         self.base.graph.index(self.vertex)  # raises UnknownVertex
 
 
-def laplacian_rows(g: Graph):
-    """Integer Laplacian rows as Fractions, in vertex order."""
-    return [tuple(Fraction(x) for x in row) for row in g.laplacian_matrix()]
-
-
 def build_system(spec: LinearSystemSpec) -> HPolyhedron:
     """H-polyhedron of the system: one row laplacian(phi)(v) >= -Lam(v) per
     vertex, plus phi(v) >= 0 per vertex when effective."""
     g = spec.graph
     n = len(g.vertices)
     rows = []
-    for i, lrow in enumerate(laplacian_rows(g)):
+    for i, lrow in enumerate(g.laplacian_matrix()):
         rows.append((lrow, -spec.lam.values[i]))
     if spec.effective:
         for i in range(n):
@@ -184,7 +179,6 @@ def enriched_system(spec: EnrichedSystemSpec) -> HPolyhedron:
     rows = [(a + (Fraction(0),), b) for a, b in base.constraints]
     u_nonneg = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
     rows.append((u_nonneg, Fraction(0)))
-    lrow = laplacian_rows(g)[i]
-    cap = lrow + (Fraction(-1),)
+    cap = (*g.laplacian_matrix()[i], -1)
     rows.append((cap, -spec.base.lam.values[i]))
     return HPolyhedron(n + 1, rows)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .curves import NOBody2D
-from .errors import WindowEmpty
+from .errors import DimensionMismatch, WindowEmpty
 from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep
 from .rationals import rational_str, to_decimal20
 
@@ -182,7 +182,7 @@ def _hatch(cv: _Canvas, polygon, side: str):
                             style)
 
 
-def _truncated_sides(rays, cv: _Canvas) -> List[str]:
+def _truncated_sides(rays) -> List[str]:
     sides = []
     for r in rays:
         if r[0] > 0:
@@ -215,7 +215,8 @@ def render_svg(body, window) -> str:
         labels = (body.lower if body.kind == "overgraph" else body.upper).breakpoints
     elif isinstance(body, VPolyhedron):
         if not body.is_empty() and body.dimension != 2:
-            raise WindowEmpty("only 2-D bodies can be rendered")
+            raise DimensionMismatch(
+                f"only 2-D bodies can be rendered; this body is {body.dimension}-D")
         rows = None if body.is_empty() else _vpoly_halfplanes(body)
         rays = list(body.rays)
         labels = list(body.vertices)
@@ -236,7 +237,7 @@ def render_svg(body, window) -> str:
                 p = polygon[0]
                 cv.parts.append(
                     f'<circle cx="{cv.px(p[0])}" cy="{cv.py(p[1])}" r="3" fill="#3182bd"/>')
-            for side in _truncated_sides(rays, cv):
+            for side in _truncated_sides(rays):
                 _hatch(cv, polygon, side)
         for t, v in labels:
             if x0 <= t <= x1 and y0 <= v <= y1:

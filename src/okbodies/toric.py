@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Tuple
 
 from . import linalg
@@ -65,10 +66,10 @@ class ToricModel:
         for u, _ in gr:
             if not _is_primitive(u):
                 raise InvalidToricModel(f"generic ray {u} is not primitive")
-        rays = [tuple(Fraction(x) for x in u) for u, _ in gr]
+        rays = [u for u, _ in gr]
         for i in range(d):
             for sign in (1, -1):
-                e = tuple(Fraction(sign * int(i == j)) for j in range(d))
+                e = tuple(sign * int(i == j) for j in range(d))
                 if not in_cone(e, rays):
                     raise UnboundedGenericPolytope(
                         "generic rays do not positively span the ambient space")
@@ -115,52 +116,49 @@ class ToricFlag:
             raise NotABasis(f"flag rays have determinant {det}, need +-1")
 
 
+def _model_rows(model: ToricModel):
+    """P_model's inequalities <r, (m, h)> >= b as integer pairs (r, b):
+    one per generic ray, with r_h = 0, so these alone cut out P_D; one per
+    vertical vertex; and h >= 0 last.  The rows with r_h = 1 are the
+    pieces of psi."""
+    d = model.ambient_dim
+    return ([(u + (0,), -a) for u, a in model.generic_rays]
+            + [(v + (1,), -a) for v, a in model.vertical_vertices]
+            + [((0,) * d + (1,), 0)])
+
+
 def build_generic_polytope(model: ToricModel) -> HPolyhedron:
     """P_D = {m : <m, u_sigma> >= -a_sigma}, bounded with no LP to check
     it: ToricModel raises UnboundedGenericPolytope unless the rays
     positively span R^d, and then a recession direction r of P_D
     (<r, u_sigma> >= 0 for every ray) has -r = sum lambda_sigma u_sigma
     with lambda >= 0, so -<r, r> >= 0 and r = 0."""
-    rows = [(tuple(Fraction(x) for x in u), Fraction(-a))
-            for u, a in model.generic_rays]
-    return HPolyhedron(model.ambient_dim, rows)
+    rows = _model_rows(model)[:len(model.generic_rays)]
+    return HPolyhedron(model.ambient_dim, [(r[:-1], b) for r, b in rows])
 
 
 def build_model_polyhedron(model: ToricModel) -> HPolyhedron:
     """P_model in coordinates (m_1..m_d, h): the generic constraints plus
     <m, v> + h >= -a_v per vertical vertex and h >= 0."""
-    d = model.ambient_dim
-    generic = build_generic_polytope(model)
-    rows = [(a + (Fraction(0),), b) for a, b in generic.constraints]
-    for v, a in model.vertical_vertices:
-        rows.append((tuple(Fraction(x) for x in v) + (Fraction(1),), Fraction(-a)))
-    h_row = tuple(Fraction(0) for _ in range(d)) + (Fraction(1),)
-    rows.append((h_row, Fraction(0)))
-    return HPolyhedron(d + 1, rows)
+    return HPolyhedron(model.ambient_dim + 1, _model_rows(model))
 
 
 def psi_value(model: ToricModel, m) -> Fraction:
     """psi(m) = max over vertical vertices of -a_v - <m, v>, clamped below
-    by 0; (m, psi(m)) is the lowest point of P_model over m."""
+    by 0 (the row h >= 0); (m, psi(m)) is the lowest point of P_model
+    over m."""
     m = tuple(Fraction(x) for x in m)
     if not build_generic_polytope(model).contains(m):
         raise OutsideGenericPolytope(f"{m} is outside the generic polytope")
-    best = max(-Fraction(a) - linalg.dot(m, [Fraction(x) for x in v])
-               for v, a in model.vertical_vertices)
-    return max(best, Fraction(0))
-
-
-def _flag_map(flag: ToricFlag):
-    matrix = [[Fraction(x) for x in w] for w, _ in flag.rays]
-    offset = [Fraction(a) for _, a in flag.rays]
-    return matrix, offset
+    return max(b - linalg.dot(r[:-1], m)
+               for r, b in _model_rows(model)[len(model.generic_rays):])
 
 
 def toric_body_vertexmap(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
     """Body as the affine image of the V-representation of P_model."""
     flag.validate(model)
-    matrix, offset = _flag_map(flag)
-    return affine_image(enumerate_v_rep(build_model_polyhedron(model)), matrix, offset)
+    return affine_image(enumerate_v_rep(build_model_polyhedron(model)),
+                        [w for w, _ in flag.rays], [a for _, a in flag.rays])
 
 
 def toric_body_halfspaces(model: ToricModel, flag: ToricFlag) -> HPolyhedron:
@@ -169,15 +167,10 @@ def toric_body_halfspaces(model: ToricModel, flag: ToricFlag) -> HPolyhedron:
     (m, h)."""
     flag.validate(model)
     k = model.ambient_dim + 1
-    pmodel = build_model_polyhedron(model)
-    rows = [(a + tuple(Fraction(0) for _ in range(k)), b)
-            for a, b in pmodel.constraints]
-    matrix, offset = _flag_map(flag)
-    for i in range(k):
-        row = [-c for c in matrix[i]] + [Fraction(0)] * k
-        row[k + i] = Fraction(1)
-        rows.append((tuple(row), offset[i]))
-        rows.append((tuple(-c for c in row), -offset[i]))
+    rows = [(r + (0,) * k, b) for r, b in _model_rows(model)]
+    for i, (w, a) in enumerate(flag.rays):
+        row = tuple(-c for c in w) + tuple(int(i == j) for j in range(k))
+        rows += [(row, a), (tuple(-c for c in row), -a)]
     return project_out(HPolyhedron(2 * k, rows), range(k))
 
 
@@ -218,18 +211,12 @@ NOT_A_SECTION = "not-a-section"
 def monomial_valuation(model: ToricModel, flag: ToricFlag, m, h):
     """Valuation vector (<(m,h), w_i> + a_i)_i of the monomial section
     indexed by the integer point (m, h), or NOT_A_SECTION when (m, h)
-    violates some ray inequality (including h >= 0)."""
+    violates a row of P_model (h >= 0 included); integers throughout."""
     flag.validate(model)
-    d = model.ambient_dim
-    m = _ivec(m, d, "monomial exponent")
-    h = int(h)
-    point = m + (h,)
-    if h < 0 or not build_model_polyhedron(model).contains(
-            [Fraction(x) for x in point]):
+    point = _ivec(m, model.ambient_dim, "monomial exponent") + (int(h),)
+    if any(sum(map(mul, r, point)) < b for r, b in _model_rows(model)):
         return NOT_A_SECTION
-    matrix, offset = _flag_map(flag)
-    return tuple(int(linalg.dot(row, [Fraction(x) for x in point]) + off)
-                 for row, off in zip(matrix, offset))
+    return tuple(sum(map(mul, w, point)) + a for w, a in flag.rays)
 
 
 def lattice_point_count(poly: HPolyhedron) -> int:

@@ -1,12 +1,13 @@
 import json
 import os
 import random
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
-from okbodies import curves, toric
+from okbodies import curves, jobs, toric
 from okbodies.cli import main
 from okbodies.errors import (BadRational, ConsistencyError, NonIntegerDivisor,
                              SchemaError)
@@ -395,6 +396,41 @@ def test_verify_refuses_graphs_over_the_projection_cap(tmp_path, capsys):
     doc = _ladder_doc(n, "arakelov")
     job.write_text(json.dumps(doc))
     assert run(["curve-body", "arakelov", "--input", str(job), "--output", str(out)]) == 0
+
+
+def _cube_doc(d):
+    """The toric-body job of the cube [-1, 1]^d with one vertical vertex
+    at the origin, flagged by the coordinate rays and (0, ..., 0, 1)."""
+    rays = []
+    for i in range(d):
+        e = [int(i == j) for j in range(d)]
+        rays += [[e, 1], [[-x for x in e], 1]]
+    flag = [[[int(i == j) for j in range(d)] + [0], 1] for i in range(d)]
+    flag.append([[0] * d + [1], 0])
+    return {"kind": "toric-body", "payload": {
+        "model": {"ambient_dim": d, "generic_rays": rays,
+                  "vertical_vertices": [[[0] * d, 0]]},
+        "flag": {"rays": flag}}}
+
+
+def test_verify_refuses_toric_models_over_the_walk_cap(tmp_path, capsys):
+    d = jobs.TORIC_VERIFY_MAX_DIM + 1
+    doc = _cube_doc(d)
+    doc["kind"] = "verify"
+    doc["payload"]["target"] = "toric-body"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert run(["verify", "--input", str(job), "--output", str(out)]) == 1
+    assert time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"at most ambient dimension {jobs.TORIC_VERIFY_MAX_DIM}" in err
+    assert not out.exists()
+    # the toric-body job itself is not capped
+    job.write_text(json.dumps(_cube_doc(d)))
+    assert run(["toric-body", "--input", str(job), "--output", str(out)]) == 0
 
 
 def _job_doc(name):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from okbodies.curves import ArakelovFlag, CurveBodyJob, TropicalFlag, compute_body
-from okbodies.errors import WindowEmpty
+from okbodies.errors import DimensionMismatch, WindowEmpty
 from okbodies.graphs import Divisor
 from okbodies.polyhedra import VPolyhedron
 from okbodies.rationals import to_decimal20
@@ -59,6 +59,13 @@ def test_degenerate_window_rejected():
         render_svg(tropical_body(), (1, 1, 0, 2))
     with pytest.raises(WindowEmpty):
         render_svg(tropical_body(), (2, 1, 0, 2))
+
+
+def test_non_2d_body_is_a_dimension_error():
+    # the window is fine; the body is what cannot be drawn
+    with pytest.raises(DimensionMismatch, match="this body is 3-D") as info:
+        render_svg(VPolyhedron([(0, 0, 0)]), (0, 1, 0, 1))
+    assert not isinstance(info.value, WindowEmpty)
 
 
 def test_window_outside_body():

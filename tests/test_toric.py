@@ -157,7 +157,9 @@ def _random_model(rng):
 def test_routes_equal_as_built_on_random_models():
     # both V-representations are canonical as built, so toric_body compares
     # them as tuples; vrep_equal is the reference, and the projection's
-    # half-spaces hold the same points as the LP membership test
+    # half-spaces hold the same points as the LP membership test.  The
+    # integer valuation path agrees with P_model as a polyhedron: a section
+    # exactly at its points, valued by the flag map
     rng = random.Random(7)
     empty = 0
     for _ in range(12):
@@ -165,8 +167,15 @@ def test_routes_equal_as_built_on_random_models():
         body, other = toric_body_vertexmap(m, f), toric_body_projection(m, f)
         assert body == other and vrep_equal(body, other)
         image = toric_body_halfspaces(m, f)
+        pmodel = build_model_polyhedron(m)
         for x in itertools.product(range(-1, 4), repeat=m.ambient_dim + 1):
             assert image.contains(x) == body.contains(x)
+            val = monomial_valuation(m, f, x[:-1], x[-1])
+            if not pmodel.contains(x):
+                assert val is NOT_A_SECTION
+            else:
+                assert val == tuple(sum(c * w for c, w in zip(x, ray)) + a
+                                    for ray, a in f.rays)
         empty += body.is_empty()
     assert 0 < empty < 12
 

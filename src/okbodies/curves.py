@@ -20,8 +20,9 @@ Three routes compute the boundary function, and they must agree exactly:
       flag-vertex value of the least element of L+(Lam - t*Lam1), and b(t)
       is read off the least element of the slice phi(v) = t.  Both move
       along a monotone path of Z-matrix LCP solutions
-      (`linsys.least_element_path`): at most |V| pieces, one exact
-      elimination each.
+      (`linsys.least_element_path`): at most |V| pieces, and one
+      principal pivot of one integer tableau per index entering the
+      active set J.
   parametric LP (the default cross-check of `compute_body`): optimal-basis
       continuation over the same family, with its own feasible range.
   Fourier-Motzkin projection (the oracle of `cross_verify` and `verify`):

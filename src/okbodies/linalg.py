@@ -6,9 +6,10 @@ plain Gauss-Jordan elimination with exact pivots is all we need.
 The elimination kernel works on integer rows: a row is a list of integer
 numerators over one positive integer denominator, kept reduced by the gcd
 of the row and its denominator, so it holds exactly the values of the
-Fraction row it stands for.  `int_rows` builds them, `pivot` is the one
-row update (shared with the simplex tableau), and Fractions are built
-again only for results.
+Fraction row it stands for.  `int_rows` builds them, and `pivot` is the
+one row update: it serves the simplex tableau, the Gauss-Jordan
+elimination here and the principal pivots of
+`linsys.least_element_path`.  Fractions are built again only for results.
 """
 
 from __future__ import annotations
@@ -98,24 +99,15 @@ def _reduce(matrix, ncols):
     return rows, dens, pivots, num, den
 
 
-def solve_columns(matrix, columns):
-    """Solve M x = c for square M and each right-hand side c in `columns`,
-    with one elimination.  Returns the solution vectors in order, or None
-    when M is singular."""
+def solve_square(matrix, rhs):
+    """Solve M x = rhs for square M, with one elimination of [M | rhs].
+    Returns the solution vector or None when M is singular."""
     n = len(matrix)
-    aug = [list(row) + [c[i] for c in columns] for i, row in enumerate(matrix)]
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     rows, dens, pivots, _, _ = _reduce(aug, n)
     if len(pivots) < n:
         return None
-    return [[Fraction(rows[i][n + k], dens[i]) for i in range(n)]
-            for k in range(len(columns))]
-
-
-def solve_square(matrix, rhs):
-    """Solve M x = rhs for square M.  Returns the solution vector or
-    None when M is singular."""
-    sol = solve_columns(matrix, [rhs])
-    return None if sol is None else sol[0]
+    return [Fraction(rows[i][n], dens[i]) for i in range(n)]
 
 
 def det_int(matrix) -> int:

@@ -94,46 +94,45 @@ def least_element_path(matrix, q0, q1, t0, t1=None):
 
     With q1 <= 0, q falls as t grows, so pi(t) rises and its active set
     only grows (Cottle 1972, "Monotone solutions of the parametric linear
-    complementarity problem").  On one J both z_J and w are affine in t,
-    with both columns of z_J from one elimination of M_JJ.  Comparing each
-    w_i as the pair (value at t, slope) grows J to the active set valid on
-    [t, t + eps); the piece ends at the first t where some w_i off J with
-    negative slope reaches 0, and J grows again there.  So there are at
-    most len(q0) pieces.  The first round at t0 compares values alone,
-    which decides emptiness at t0 itself."""
+    complementarity problem").  One integer tableau holds w - M z = q0 +
+    t*q1, row i with basic variable w_i.  J gains i by one principal pivot
+    at z_i, the Schur-complement update of M_JJ (Tucker's principal pivot
+    transform), so the path costs O(n^3), and a zero pivot element means
+    M_JJ is singular.  Every row's last two entries are then the line
+    (value, rate) of its basic variable: z_i on J, w_i off J.  Comparing
+    each w_i as the pair (value at t, slope) grows J to the active set
+    valid on [t, t + eps); the piece ends at the first t where some w_i
+    off J with negative slope reaches 0, and J grows again there.  So
+    there are at most len(q0) pieces.  The first round at t0 compares
+    values alone, which decides emptiness at t0 itself."""
     n = len(q0)
-    active, a, b = [], [Fraction(0)] * n, [Fraction(0)] * n
-    pieces = []
+    rows, dens = linalg.int_rows([[int(i == j) for j in range(n)] + [-m for m in row]
+                                  + [q0[i], q1[i]] for i, row in enumerate(matrix)])
+    active, pieces = set(), []
     t, lex = Fraction(t0), False
     while True:
-        w = {}
-        for i in range(n):
-            if i not in active:
-                # z is 0 off J, and M is sparse: sum over its nonzeros on J
-                terms = [(m, j) for j, m in enumerate(matrix[i]) if m and j in active]
-                w0 = sum([m * a[j] for m, j in terms], q0[i])
-                w1 = sum([m * b[j] for m, j in terms], q1[i])
-                w[i] = (w0 + t * w1, w1 if lex else 0)
-        entering = [i for i, pair in w.items() if pair < (0, 0)]
+        a, b = [Fraction(0)] * n, [Fraction(0)] * n
+        for i in active:
+            a[i], b[i] = Fraction(rows[i][-2], dens[i]), Fraction(rows[i][-1], dens[i])
+        # off J a row's last two entries are w_i's line times the row's
+        # positive denominator, which neither the signs nor the roots see
+        w = [(i, row[-2], row[-1]) for i, row in enumerate(rows) if i not in active]
+        entering = [i for i, w0, w1 in w if (w0 + t * w1, w1 if lex else 0) < (0, 0)]
         if entering:
-            active += entering
-            sol = linalg.solve_columns([[matrix[i][j] for j in active] for i in active],
-                                       [[-q0[i] for i in active], [-q1[i] for i in active]])
-            if sol is None:
-                if not lex:
-                    return None
-                return pieces or [(t, t, a, b)]
-            a, b = [Fraction(0)] * n, [Fraction(0)] * n
-            for i, ai, bi in zip(active, *sol):
-                a[i], b[i] = ai, bi
+            for i in entering:
+                if not rows[i][n + i]:
+                    if not lex:
+                        return None
+                    return pieces or [(t, t, a, b)]
+                linalg.pivot(rows, dens, i, n + i)
+                active.add(i)
             continue
         if not lex:
             lex = True
             continue
-        hi = t1
-        for value, slope in w.values():
-            if slope < 0 and (hi is None or t - value / slope < hi):
-                hi = t - value / slope
+        # the first t at which a falling w_i reaches 0, or t1 on a tie
+        roots = [Fraction(-w0, w1) for _, w0, w1 in w if w1 < 0]
+        hi = min(roots, default=None) if t1 is None else min([t1, *roots])
         pieces.append((t, hi, a, b))
         if hi is None or hi == t1:
             return pieces

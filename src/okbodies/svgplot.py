@@ -60,7 +60,10 @@ def _body_halfplanes(body: NOBody2D) -> List[Tuple[Tuple[Fraction, Fraction], Fr
 
 def _vpoly_halfplanes(v: VPolyhedron) -> List[Tuple[Tuple[Fraction, Fraction], Fraction]]:
     """H-representation of a 2-D V-polyhedron: candidate edge lines from
-    generator pairs, kept when all generators sit on the >= side."""
+    generator pairs, kept when all generators sit on the >= side.  When
+    the generators are collinear those lines only pin the body to its
+    line, so the lines across it through every point are candidates too:
+    they cap a segment or a half-line (a lone point in both axes)."""
     gens_pt = list(v.vertices)
     gens_ray = list(v.rays)
     directions = []
@@ -69,21 +72,24 @@ def _vpoly_halfplanes(v: VPolyhedron) -> List[Tuple[Tuple[Fraction, Fraction], F
             directions.append((p, (q[0] - p[0], q[1] - p[1])))
         for r in gens_ray:
             directions.append((p, r))
-    if len(gens_pt) == 1 and not gens_ray:
-        p = gens_pt[0]
-        return [((Fraction(1), Fraction(0)), p[0]),
-                ((Fraction(-1), Fraction(0)), -p[0]),
-                ((Fraction(0), Fraction(1)), p[1]),
-                ((Fraction(0), Fraction(-1)), -p[1])]
+    directions = [(p, d) for p, d in directions if d != (0, 0)]
     rows = []
+
+    def keep(p, normal):
+        b = normal[0] * p[0] + normal[1] * p[1]
+        if all(normal[0] * q[0] + normal[1] * q[1] >= b for q in gens_pt) and \
+           all(normal[0] * r[0] + normal[1] * r[1] >= 0 for r in gens_ray):
+            rows.append(((Fraction(normal[0]), Fraction(normal[1])), Fraction(b)))
+
     for p, d in directions:
-        if d == (0, 0):
-            continue
-        for normal in ((-d[1], d[0]), (d[1], -d[0])):
-            b = normal[0] * p[0] + normal[1] * p[1]
-            if all(normal[0] * q[0] + normal[1] * q[1] >= b for q in gens_pt) and \
-               all(normal[0] * r[0] + normal[1] * r[1] >= 0 for r in gens_ray):
-                rows.append(((Fraction(normal[0]), Fraction(normal[1])), Fraction(b)))
+        keep(p, (-d[1], d[0]))
+        keep(p, (d[1], -d[0]))
+    along = [d for _, d in directions[:1]] or [(1, 0), (0, 1)]
+    if all(along[0][0] * e[1] == along[0][1] * e[0] for _, e in directions):
+        for d in along:
+            for p in gens_pt:
+                keep(p, d)
+                keep(p, (-d[0], -d[1]))
     return rows
 
 

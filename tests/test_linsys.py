@@ -10,8 +10,10 @@ from okbodies.linsys import (EnrichedSystemSpec, LinearSystemSpec,
                              least_element_path, member, minimal_element,
                              pointwise_min, zariski_shift)
 from okbodies.oracles import minimal_element_lp
+from okbodies.polyhedra import HPolyhedron, solve_lp
 from okbodies.sampling import (random_divisor, random_graph, random_member,
                                random_rational)
+from okbodies.simplex import OPTIMAL
 from tests.test_graphs import quartic
 
 F = Fraction
@@ -145,6 +147,57 @@ def test_least_element_path_matches_lp_oracle():
             assert minimal_element_lp(LinearSystemSpec(g, lam - lam1 * ((end + 6) / 2))) is None
             ended += 1
     assert points >= 300 and ended >= 20
+
+
+def least_element_lp(matrix, q):
+    """The least element of {z >= 0 : M z + q >= 0}, by one LP per
+    coordinate."""
+    n = len(q)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    poly = HPolyhedron(n, [(row, -c) for row, c in zip(matrix, q)] + [(e, 0) for e in unit])
+    outs = [solve_lp(poly, e, "min") for e in unit]
+    assert all(out.status == OPTIMAL for out in outs)
+    return tuple(out.value for out in outs)
+
+
+def test_reduced_least_element_path_matches_lp_oracle():
+    # the form the Arakelov route calls: the reduced Laplacian at v, q1 =
+    # the removed column, t1 = None.  One LP per coordinate at every
+    # piece's ends and midpoint, and past the last breakpoint.  Integer
+    # q0 makes ties, where several indices enter J in one round; the
+    # symmetric star (its centre removed, equal q0) starts with all of
+    # them entering in the first lex round.
+    rng = random.Random(37)
+    star = Graph(["c", "x", "y", "z"], [("c", "x"), ("c", "y"), ("c", "z")])
+    instances = [(star.laplacian_matrix(), 0, [0, 0, 0], 0)]
+    for _ in range(80):
+        g = random_graph(rng, max_vertices=6, max_extra_edges=4)
+        v = rng.randrange(len(g.vertices))
+        if rng.random() < 0.5:
+            q0 = [rng.randint(0, 2) for _ in range(len(g.vertices) - 1)]
+        else:
+            q0 = [random_rational(rng, -2, 4, 4) for _ in range(len(g.vertices) - 1)]
+        instances.append((g.laplacian_matrix(), v, q0, random_rational(rng, -1, 2, 3)))
+    points = joint = 0
+    for lap, v, q0, t0 in instances:
+        rest = [i for i in range(len(lap)) if i != v]
+        m = [[lap[i][j] for j in rest] for i in rest]
+        q1 = [lap[i][v] for i in rest]
+        path = least_element_path(m, q0, q1, t0)
+        assert path[0][0] == t0 and path[-1][1] is None
+        assert all(p[1] == q[0] for p, q in zip(path, path[1:]))
+        support = set()
+        for lo, hi, a, b in path:
+            ends = (lo, (lo + hi) / 2, hi) if hi is not None else (lo, lo + 1, lo + 7)
+            for t in ends:
+                q = [x + t * y for x, y in zip(q0, q1)]
+                assert least_element_lp(m, q) == tuple(x + t * y for x, y in zip(a, b))
+                points += 1
+            # pieces whose support gains several indices at one breakpoint
+            grown = {i for i in range(len(m)) if a[i] or b[i]}
+            joint += len(grown - support) >= 2
+            support = grown
+    assert points >= 500 and joint >= 20
 
 
 def test_minimal_element_needs_an_effective_system():

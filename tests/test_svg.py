@@ -9,6 +9,7 @@ from okbodies.graphs import Divisor
 from okbodies.polyhedra import VPolyhedron
 from okbodies.rationals import to_decimal20
 from okbodies.svgplot import render_svg
+from okbodies.toric import ToricFlag, ToricModel, toric_body
 from tests.test_curves import quartic_lam
 from tests.test_graphs import quartic
 
@@ -45,6 +46,31 @@ def test_vpolyhedron_rendering():
     svg = render_svg(body, (F(-1), F(2), F(-1), F(3)))
     ET.fromstring(svg)
     assert "<polygon" in svg
+
+
+def body_stroke(svg):
+    """End points (x1, y1, x2, y2) of the one line that draws a 1-D body."""
+    (line,) = [e for e in ET.fromstring(svg).iter()
+               if e.tag.endswith("line") and "#3182bd" in e.get("style", "")]
+    return tuple(line.get(k) for k in ("x1", "y1", "x2", "y2"))
+
+
+def test_half_line_body_is_capped_at_its_vertex():
+    # the toric body of this model is the vertex (0, 0) plus the ray (0, 1);
+    # in the window [-1, 1] x [-1, 2] it is the segment (0, 0)-(0, 2), not
+    # the whole vertical line through the window
+    model = ToricModel(1, [((1,), 0), ((-1,), 0)], [((0,), 0)])
+    body = toric_body(model, ToricFlag([((1, 0), 0), ((0, 1), 0)]))
+    assert body == VPolyhedron([(0, 0)], [(0, 1)])
+    svg = render_svg(body, (-1, 1, -1, 2))
+    # y = 0 sits 1/3 of the way up the 380-pixel drawing height
+    assert body_stroke(svg) == ("320", "303.33333333333333333", "320", "50")
+
+
+def test_segment_body_is_capped_at_both_ends():
+    svg = render_svg(VPolyhedron([(0, 0), (1, 1)]), (-1, 2, -1, 2))
+    assert body_stroke(svg) == ("230", "303.33333333333333333",
+                                "410", "176.66666666666666667")
 
 
 def test_empty_body_axes_only():

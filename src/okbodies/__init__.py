@@ -3,9 +3,8 @@ semistable curves and toric schemes over discrete valuation rings."""
 
 from .graphs import (Divisor, Graph, GraphFunction, graph_diameter,
                      laplacian, m_statistic, specialize_vertical)
-from .linsys import (EnrichedSystemSpec, LinearSystemSpec, build_system,
-                     enriched_system, member, minimal_element, pointwise_min,
-                     zariski_shift)
+from .linsys import (LinearSystemSpec, build_system, member, minimal_element,
+                     pointwise_min, zariski_shift)
 from .rank import has_nonnegative_rank, q_reduced
 from .curves import (ArakelovFlag, CurveBodyJob, NOBody2D, TropicalFlag,
                      VerificationReport, compute_body, cross_verify,

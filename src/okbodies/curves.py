@@ -26,7 +26,11 @@ Three routes compute the boundary function, and they must agree exactly:
   parametric LP (the default cross-check of `compute_body`): optimal-basis
       continuation over the same family, with its own feasible range.
   Fourier-Motzkin projection (the oracle of `cross_verify` and `verify`):
-      exponential in |V|, so capped at FM_MAX_VERTICES vertices.
+      one lift {(phi, s) : phi in L+(Lam - s*D), s >= 0} in |V| + 1
+      coordinates, projected onto (phi(v), s).  Along D = Lam1 the image
+      is the tropical overgraph with its axes swapped; along D = e_v,
+      where s <= laplacian(phi)(v) + Lam(v), it is the Arakelov band.
+      Exponential in |V|, so capped at FM_MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -39,18 +43,17 @@ from .errors import (ConsistencyError, DimensionTooLarge, EmptySystemError,
                      InfeasibleEverywhere, NonPositiveDegree, UnknownVertex)
 from .graphs import Divisor, Graph
 from .linalg import dot
-from .linsys import (EnrichedSystemSpec, LinearSystemSpec, build_system,
-                     enriched_system, least_element_path, minimal_element)
+from .linsys import (LinearSystemSpec, build_system, least_element_path,
+                     minimal_element)
 from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction
-from .polyhedra import HPolyhedron, enumerate_v_rep, project_out
+from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep, project_out
 
 # Largest graph `cross_verify` projects by Fourier-Motzkin.  The cap does
-# not bound the time, which depends on the vertex order: on the tropical
-# ladder instance (C_n plus n//2 chords, Python 3.11 on a 2-CPU VM) the
-# projection took 2.2-38.5 s at n = 8 over six vertex orders, and two of
-# three n = 10 orders did not finish in 300 s.  ROADMAP.md plans a work
-# budget in its place.
+# not bound the time, which depends on the vertex order: on the ladder
+# instance (C_n plus n//2 chords, Python 3.11 on a 2-CPU VM), over six
+# vertex orders and either flag, the projection took 0.2-1.1 s at n = 8
+# and 0.6-7.0 s at n = 10.  ROADMAP.md plans a work budget in its place.
 FM_MAX_VERTICES = 10
 
 # A tropical job has deg Lam > 0, and the Laplacian maps onto the rational
@@ -117,10 +120,6 @@ class VerificationReport:
     projection: PiecewiseLinearFunction
     first_disagreement: Optional[Fraction] = None
     body: Optional[NOBody2D] = None  # the least-element-route body
-
-
-def _plf_equal(p: PiecewiseLinearFunction, q: PiecewiseLinearFunction) -> bool:
-    return p.breakpoints == q.breakpoints and p.tail_slope == q.tail_slope
 
 
 def _first_disagreement(p, q) -> Optional[Fraction]:
@@ -243,41 +242,32 @@ def tropical_body_parametric(job: CurveBodyJob) -> ParametricResult:
     return result
 
 
+def _projected_lift(job: CurveBodyJob, direction) -> VPolyhedron:
+    """The lift {(phi, s) : phi in L+(Lam - s*D), s >= 0} of the family along
+    D = `direction`, projected by Fourier-Motzkin onto (phi(v), s)."""
+    n = len(job.graph.vertices)
+    iv = job.graph.index(job.flag.vertex)
+    rows, rhs = _system_rows(job)
+    column = [-d for d in direction] + [0] * n
+    lifted = [((*a, c), b) for a, c, b in zip(rows, column, rhs)]
+    lifted.append(((0,) * n + (1,), 0))
+    return enumerate_v_rep(
+        project_out(HPolyhedron(n + 1, lifted), [i for i in range(n) if i != iv]))
+
+
 def tropical_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
-    """Same function via Fourier-Motzkin: project the lifted set
-    {(phi, t, y) : family constraints, y >= phi(v)} onto (t, y) and read
-    the lower boundary off its vertices."""
-    g = job.graph
-    n = len(g.vertices)
-    iv = g.index(job.flag.vertex)
-    t_end = _tropical_end(job)
-    rows, b0, b1, _ = _tropical_family(job)
-    lifted = []
-    for a, p, q in zip(rows, b0, b1):
-        lifted.append((list(a) + [-q, Fraction(0)], p))
-    tcol = [Fraction(0)] * (n + 2)
-    tcol[n] = Fraction(1)
-    lifted.append((list(tcol), Fraction(0)))
-    lifted.append(([-v for v in tcol], -t_end))
-    ycut = [Fraction(0)] * (n + 2)
-    ycut[iv] = Fraction(-1)
-    ycut[n + 1] = Fraction(1)
-    lifted.append((ycut, Fraction(0)))
-    poly = HPolyhedron(n + 2, lifted)
-    plane = project_out(poly, range(n))
-    return _lower_boundary(plane)
-
-
-def _lower_boundary(plane: HPolyhedron) -> PiecewiseLinearFunction:
-    """Lower boundary of a 2-D overgraph-shaped region: its vertices are
-    exactly the breakpoints."""
-    vrep = enumerate_v_rep(plane)
+    """Same function via Fourier-Motzkin, from the lift along D = Lam1:
+    {(phi(v), t) : phi in L+(Lam - t*Lam1), t >= 0} is the overgraph
+    {(y, t) : 0 <= t <= t_end, y >= a(t)}, because L+ is closed under
+    adding constants and the sum of the Laplacian rows gives t <= t_end.
+    So its vertices, read as (t, phi(v)), are the breakpoints."""
+    vrep = _projected_lift(job, job.flag.y1_specialization.values)
     if vrep.is_empty():
         raise ConsistencyError(f"projected body is empty: {_NONEMPTY_AT_ZERO}")
-    pts = sorted(vrep.vertices)
-    if (Fraction(0), Fraction(1)) not in vrep.rays:
+    if (Fraction(1), Fraction(0)) not in vrep.rays:
         raise ConsistencyError(f"projected region is not an overgraph: rays {vrep.rays}")
-    return PiecewiseLinearFunction(tuple(pts), shape="convex")
+    return PiecewiseLinearFunction(tuple(sorted((t, a) for a, t in vrep.vertices)),
+                                   shape="convex")
 
 
 def _arakelov_family(job: CurveBodyJob):
@@ -311,17 +301,14 @@ def arakelov_body_parametric(job: CurveBodyJob) -> ParametricResult:
 
 
 def arakelov_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
-    """Upper function via the enriched system: project (phi, u) onto
-    (phi(v), u) with Fourier-Motzkin and read the upper boundary."""
-    g = job.graph
-    n = len(g.vertices)
-    iv = g.index(job.flag.vertex)
-    spec = EnrichedSystemSpec(LinearSystemSpec(g, job.lam, True), job.flag.vertex)
-    poly = enriched_system(spec)
-    plane = project_out(poly, [i for i in range(n) if i != iv])
-    vrep = enumerate_v_rep(plane)
+    """Upper function via Fourier-Motzkin, from the lift along D = e_v:
+    {(phi(v), u) : phi in L+(Lam - u*e_v), u >= 0} is the band
+    {(t, u) : 0 <= u <= b(t)}, because row v of the lift reads
+    u <= laplacian(phi)(v) + Lam(v) (row v of L+(Lam) follows from it and
+    u >= 0).  The upper boundary is read off the vertices."""
+    vrep = _projected_lift(job, [int(w == job.flag.vertex) for w in job.graph.vertices])
     if vrep.is_empty():
-        raise EmptySystemError("enriched system is empty")
+        raise EmptySystemError("the effective system is empty")
     if vrep.rays != ((Fraction(1), Fraction(0)),):
         raise ConsistencyError(f"projected band has unexpected rays {vrep.rays}")
     tops = {}
@@ -381,6 +368,6 @@ def cross_verify(job: CurveBodyJob) -> VerificationReport:
         kind, route, proj = "tropical", body.lower, tropical_body_projection(job)
     else:
         kind, route, proj = "arakelov", body.upper, arakelov_body_projection(job)
-    agree = _plf_equal(route, proj)
+    agree = route == proj
     return VerificationReport(kind, agree, route, proj,
                               None if agree else _first_disagreement(route, proj), body)

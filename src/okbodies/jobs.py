@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -37,6 +38,14 @@ EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
 # two vertical vertices; Python 3.11 on a 2-CPU VM) a job took 0.3 s at
 # d = 3, 2.5 s at d = 4 and 24 s at d = 5, so d = 6 would take minutes.
 TORIC_VERIFY_MAX_DIM = 5
+
+# Most effective divisors a rank `verify` job's class-enumeration oracle
+# may visit: C(deg + n - 1, n - 1) of degree deg on n vertices.  On cycles
+# (Python 3.11 on a 2-CPU VM) it took 1.3 s for 118,755 (n = 6, deg = 24),
+# 1.6 s for 169,911 (n = 6, deg = 26) and 6.6 s for 593,775 (n = 7,
+# deg = 24); the bound keeps a job to seconds on a host several times
+# slower.
+RANK_VERIFY_MAX_DIVISORS = 200_000
 
 # (required, optional) keys of each kind's payload; a verify payload's keys
 # follow its target
@@ -479,6 +488,12 @@ def _run_verify(p: dict, parsed: tuple, seed):
             _check(checks, "pointwise-min-closure", ok_closure)
     elif target == "rank":
         g, lam, base = parsed
+        n, degree = len(g.vertices), int(lam.degree())
+        count = math.comb(degree + n - 1, n - 1) if degree >= 0 else 0
+        if count > RANK_VERIFY_MAX_DIVISORS:
+            raise DimensionTooLarge(
+                f"the rank oracle enumerates at most {RANK_VERIFY_MAX_DIVISORS} "
+                f"effective divisors; degree {degree} on {n} vertices has {count}")
         main = rank.has_nonnegative_rank(g, lam, base)
         oracle = RankOracle(g).has_nonnegative_rank(lam)
         _check(checks, "dhar-vs-class-enumeration", main == oracle,

@@ -33,17 +33,6 @@ class LinearSystemSpec:
             raise UnknownVertex("divisor does not live on the spec's graph")
 
 
-@dataclass(frozen=True)
-class EnrichedSystemSpec:
-    base: LinearSystemSpec
-    vertex: str
-
-    def __post_init__(self):
-        if not self.base.effective:
-            raise ValueError("enriched systems are built over effective systems")
-        self.base.graph.index(self.vertex)  # raises UnknownVertex
-
-
 def build_system(spec: LinearSystemSpec) -> HPolyhedron:
     """H-polyhedron of the system: one row laplacian(phi)(v) >= -Lam(v) per
     vertex, plus phi(v) >= 0 per vertex when effective."""
@@ -166,18 +155,3 @@ def zariski_shift(spec: LinearSystemSpec) -> Tuple[Divisor, GraphFunction]:
         raise EmptySystemError("cannot shift an empty system")
     shifted = spec.lam + laplacian(spec.graph, pi)
     return shifted, pi
-
-
-def enriched_system(spec: EnrichedSystemSpec) -> HPolyhedron:
-    """System in |V|+1 coordinates (phi, u): the base constraints plus
-    0 <= u <= laplacian(phi)(v) + Lam(v) at the marked vertex."""
-    base = build_system(spec.base)
-    g = spec.base.graph
-    n = len(g.vertices)
-    i = g.index(spec.vertex)
-    rows = [(a + (Fraction(0),), b) for a, b in base.constraints]
-    u_nonneg = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
-    rows.append((u_nonneg, Fraction(0)))
-    cap = (*g.laplacian_matrix()[i], -1)
-    rows.append((cap, -spec.base.lam.values[i]))
-    return HPolyhedron(n + 1, rows)

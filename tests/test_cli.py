@@ -433,6 +433,26 @@ def test_verify_refuses_toric_models_over_the_walk_cap(tmp_path, capsys):
     assert run(["toric-body", "--input", str(job), "--output", str(out)]) == 0
 
 
+def test_verify_refuses_rank_jobs_over_the_enumeration_bound(tmp_path, capsys):
+    # 10 vertices, degree 100: C(109, 9) effective divisors, about 4e12
+    names = [f"v{i}" for i in range(10)]
+    doc = {"kind": "verify", "payload": {
+        "target": "rank",
+        "graph": {"vertices": names, "edges": [[a, b] for a, b in zip(names, names[1:])]},
+        "divisor": {v: 100 * (v == "v0") for v in names}}}
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert run(["verify", "--input", str(job), "--output", str(out)]) == 1
+    assert time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"at most {jobs.RANK_VERIFY_MAX_DIVISORS} effective divisors" in err
+    assert "has 4263421511271" in err
+    assert not out.exists()
+
+
 def _job_doc(name):
     with open(jobpath(name)) as fh:
         return json.load(fh)

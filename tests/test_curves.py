@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from okbodies.curves import (ArakelovFlag, CurveBodyJob, TropicalFlag,
-                             _parametric_body, combinatorial_body, compute_body,
-                             cross_verify, stabilization)
+                             _parametric_body, arakelov_body_projection,
+                             combinatorial_body, compute_body, cross_verify,
+                             stabilization, tropical_body_projection)
 from okbodies.errors import EmptySystemError, NonPositiveDegree, OkbodiesError
 from okbodies.graphs import Divisor, Graph
+from okbodies.linsys import LinearSystemSpec, minimal_element
 from okbodies.sampling import random_divisor, random_graph, random_rational
 from tests.test_graphs import quartic
 
@@ -179,3 +181,55 @@ def test_simultaneous_ties():
     body = compute_body(job)
     assert body.lower.breakpoints == ((0, 0), (2, 0), (5, 1), (9, 5))
     assert cross_verify(job).agree
+
+
+def _reordered(job, order):
+    """The same job with the graph's vertices listed in `order`."""
+    g = Graph(order, job.graph.edges)
+    flag = job.flag
+    if isinstance(flag, TropicalFlag):
+        y1 = flag.y1_specialization
+        flag = TropicalFlag(Divisor(g, {v: y1[v] for v in order}), flag.vertex)
+    return CurveBodyJob(g, Divisor(g, {v: job.lam[v] for v in order}), flag)
+
+
+def _ladder8_jobs():
+    """C_8 plus four chords, Lam(v) in [0, 3], flag vertex v0, Lam1 = (v0)."""
+    rng = random.Random(1)
+    names = [f"v{i}" for i in range(8)]
+    edges = [(names[i], names[(i + 1) % 8]) for i in range(8)]
+    edges += [tuple(names[i] for i in rng.sample(range(8), 2)) for _ in range(4)]
+    g = Graph(names, edges)
+    lam = Divisor(g, [rng.randint(0, 3) for _ in names])
+    y1 = Divisor(g, {v: int(v == "v0") for v in names})
+    return [CurveBodyJob(g, lam, TropicalFlag(y1, "v0")),
+            CurveBodyJob(g, lam, ArakelovFlag("v0"))]
+
+
+def test_projection_does_not_depend_on_the_vertex_order():
+    # seeded jobs with both flags, and the 8-vertex ladder instance, each
+    # projected again under a shuffled vertex list
+    rng = random.Random(89)
+    cases = _ladder8_jobs()
+    while len(cases) < 32:
+        g = random_graph(rng, max_vertices=5)
+        lam = random_divisor(rng, g, bound=3)
+        v = g.vertices[rng.randrange(len(g.vertices))]
+        if rng.random() < 0.5 and lam.degree() > 0:
+            pick = rng.randrange(len(g.vertices))
+            y1 = Divisor(g, [1 if i == pick else 0 for i in range(len(g.vertices))])
+            cases.append(CurveBodyJob(g, lam, TropicalFlag(y1, v)))
+        elif minimal_element(LinearSystemSpec(g, lam)) is not None:
+            cases.append(CurveBodyJob(g, lam, ArakelovFlag(v)))
+    for job in cases:
+        body = combinatorial_body(job)
+        if body.kind == "overgraph":
+            route, project = body.lower, tropical_body_projection
+        else:
+            route, project = body.upper, arakelov_body_projection
+        f = project(job)
+        assert f == route, job
+        order = list(job.graph.vertices)
+        rng.shuffle(order)
+        assert project(_reordered(job, order)) == f, (job, order)
+    assert {type(job.flag) for job in cases} == {TropicalFlag, ArakelovFlag}

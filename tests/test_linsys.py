@@ -5,8 +5,7 @@ import pytest
 
 from okbodies.errors import EmptySystemError
 from okbodies.graphs import Divisor, Graph, GraphFunction, laplacian
-from okbodies.linsys import (EnrichedSystemSpec, LinearSystemSpec,
-                             build_system, enriched_system,
+from okbodies.linsys import (LinearSystemSpec, build_system,
                              least_element_path, member, minimal_element,
                              pointwise_min, zariski_shift)
 from okbodies.oracles import minimal_element_lp
@@ -206,13 +205,3 @@ def test_minimal_element_needs_an_effective_system():
     for route in (minimal_element, minimal_element_lp):
         with pytest.raises(ValueError):
             route(spec)
-
-
-def test_enriched_system_membership():
-    g = quartic()
-    lam = Divisor(g, {"P": 2, "Q1": 1, "Q2": 1, "P'": 0})
-    poly = enriched_system(EnrichedSystemSpec(LinearSystemSpec(g, lam), "P"))
-    assert poly.dimension == 5
-    assert poly.contains([0, 0, 0, 0, 2])   # u <= lam(P) = 2 at phi = 0
-    assert not poly.contains([0, 0, 0, 0, 3])
-    assert not poly.contains([0, 0, 0, 0, -1])

@@ -19,12 +19,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
 from . import curves, linsys, rank, toric
 from .errors import (DimensionTooLarge, EmptySystemError, NonIntegerDivisor,
                      OkbodiesError, SchemaError, UnknownVertex, WindowEmpty)
 from .graphs import Divisor, Graph, GraphFunction
+from .linalg import int_rows
 from .oracles import RankOracle
 from .plf import PiecewiseLinearFunction
 from .polyhedra import VPolyhedron, enumerate_v_rep
@@ -454,15 +456,18 @@ def _run_verify(p: dict, parsed: tuple, seed):
                 f"the toric valuation walk takes at most ambient dimension "
                 f"{TORIC_VERIFY_MAX_DIM}; this model has {d}")
         # both V-representations are canonical as built (toric.toric_body),
-        # and the projection's half-spaces test membership by dot products
+        # and the projection's half-spaces, as integer rows (A, B) with
+        # a.x >= b reading A.x >= B, test the integer valuations
         image = toric.toric_body_halfspaces(model, flag)
         _check(checks, "vertexmap-vs-projection",
                toric.toric_body_vertexmap(model, flag) == enumerate_v_rep(image))
+        rows, _ = int_rows([[*a, b] for a, b in image.constraints])
         inside = True
         for m in itertools.product(range(-4, 5), repeat=d):
             for h in range(0, 5):
                 val = toric.monomial_valuation(model, flag, m, h)
-                if val is not toric.NOT_A_SECTION and not image.contains(val):
+                if val is not toric.NOT_A_SECTION and any(
+                        sum(map(mul, row, val)) < row[-1] for row in rows):
                     inside = False
         _check(checks, "monomial-valuations-inside", inside)
     elif target == "linsys":

@@ -4,16 +4,20 @@ For the family {x : A x >= b0 + t*b1} with t in a closed interval (the
 right end may be +infinity), computes the exact optimal value val(t) as a
 piecewise linear function over the maximal feasible closed subinterval.
 
-Method: optimal-basis continuation.  The optimal basis at a point stays
-optimal while B^-1 (b0 + t b1) >= 0, which is an exact rational interval
-in t; value is linear there.  Each solve passes b1 to the simplex as its
-rhs direction, so the final tableau's direction column gives the basic
+Method: optimal-basis continuation (Lemke 1954; Gal 1979).  The optimal
+basis at a point stays optimal while B^-1 (b0 + t b1) >= 0, which is an
+exact rational interval in t; value is linear there.  One cold solve at
+the left end of the feasible range passes b1 to the simplex as its rhs
+direction, so the final tableau's direction column gives the basic
 values' rates B^-1 b1 and the reduced-cost row gives the value's slope:
-the interval and the line are read off the outcome, with no solve
-against the basis matrix here.  At degenerate breakpoints the next piece is found by
-re-solving at a probe point strictly inside the remaining gap and
-validating the candidate line against the known value at the current
-abscissa (a convexity argument makes that check exact).
+the interval and the line are read off the outcome.  At the interval's
+right end, degenerate or not, `simplex.continue_along` restores
+feasibility just beyond it by dual pivots: the next piece.
+
+Termination: within one continuation, Bland's rule on the dual rules out
+cycling.  Each basis it yields is optimal on an interval of positive
+length that starts where the last one ended, so no basis recurs, and
+there are finitely many.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from . import simplex
 from .errors import InfeasibleEverywhere, UnboundedValue
 from .plf import PiecewiseLinearFunction
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
-
-_SAFETY_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,7 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
     b0 = [Fraction(v) for v in b0]
     b1 = [Fraction(v) for v in b1]
     nvars = len(objective)
-    obj = [Fraction(c) for c in objective]
-    if sense == "max":
-        internal_obj = [-c for c in obj]
-    elif sense == "min":
-        internal_obj = list(obj)
-    else:
+    if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     t_min = Fraction(interval[0])
     t_max = None if interval[1] is None else Fraction(interval[1])
@@ -62,87 +59,40 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
 
     t_lo, t_hi = _feasible_range(rows, b0, b1, nvars, t_min, t_max)
 
-    def constraints_at(t):
-        return [(a, p + t * q) for a, p, q in zip(rows, b0, b1)]
-
-    def solve_at(t):
-        out = simplex.solve_raw(constraints_at(t), internal_obj, "min", b1)
-        if out.status == UNBOUNDED:
-            # the recession cone {r : A r >= 0} does not depend on t, so the
-            # first solve, at t_lo, decides boundedness for every t
-            raise UnboundedValue("objective unbounded over the parametric family")
-        if out.status != OPTIMAL:
-            raise AssertionError(f"expected optimal at t={t}, got {out.status}")
-        return out
+    out = simplex.solve_raw([(a, p + t_lo * q) for a, p, q in zip(rows, b0, b1)],
+                            objective, sense, b1)
+    if out.status == UNBOUNDED:
+        # the recession cone {r : A r >= 0} does not depend on t, so the
+        # solve at t_lo decides boundedness for every t
+        raise UnboundedValue("objective unbounded over the parametric family")
 
     pieces = []
-    t_cur = t_lo
-    out = solve_at(t_cur)
-    val_cur = out.value
-    steps = 0
+    t_cur, val_cur = t_lo, out.value
     while True:
-        steps += 1
-        if steps > _SAFETY_CAP:
-            raise RuntimeError("parametric continuation did not terminate")
-        _, hi, alpha, beta = _basis_line(out, t_cur)
+        if out.status != OPTIMAL:  # t_cur and just after it lie in [t_lo, t_hi]
+            raise AssertionError(f"expected optimal at t={t_cur}, got {out.status}")
+        hi, alpha, beta = _basis_line(out, t_cur)
         if alpha + beta * t_cur != val_cur:
-            raise AssertionError("basis line misses the known value")
+            raise AssertionError("basis line misses the previous piece's value")
         if hi is None or (t_hi is not None and hi >= t_hi):
-            end = t_hi  # may be None: infinite tail with slope beta
-        elif hi > t_cur:
-            end = hi
-        else:
-            # degenerate at t_cur: probe strictly to the right for the next line
-            end, alpha, beta = _probe_right(t_cur, val_cur, t_hi, solve_at)
-        pieces.append((t_cur, end, alpha, beta))
-        if end is None or (t_hi is not None and end >= t_hi):
+            pieces.append((t_cur, t_hi, alpha, beta))  # t_hi None: infinite tail
             break
-        t_cur = end
-        val_cur = alpha + beta * end
-        out = solve_at(t_cur)
-        if out.value != val_cur:
-            raise AssertionError("value mismatch at a breakpoint")
+        if hi > t_cur:  # else a degenerate start at t_lo
+            pieces.append((t_cur, hi, alpha, beta))
+            t_cur, val_cur = hi, alpha + beta * hi
+        out = simplex.continue_along(out, t_cur - t_lo)
 
-    tail = None
-    if t_hi is None:
-        tail = pieces[-1][3]
-        pieces[-1] = (pieces[-1][0], None, pieces[-1][2], pieces[-1][3])
+    tail = pieces[-1][3] if t_hi is None else None
     shape = "convex" if sense == "min" else "concave"
-    if sense == "max":
-        pieces = [(lo, hi, -a, -b) for (lo, hi, a, b) in pieces]
-        tail = None if tail is None else -tail
     plf = PiecewiseLinearFunction.from_pieces(pieces, shape=shape, tail_slope=tail)
     return ParametricResult(t_lo, t_hi, plf)
 
 
 def _basis_line(out, t):
-    """(lo, hi, alpha, beta): validity interval (None = unbounded side) of
-    the optimal basis of `out`, solved at t, and its value line as the
-    tableau holds it."""
-    lo, hi = None, None
-    for p, q in out.basic:
-        if q:
-            bound = t - p / q
-            if q > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-    return lo, hi, out.tableau_value - out.slope * t, out.slope
-
-
-def _probe_right(t_cur, val_cur, t_hi, solve_at):
-    probe = (t_cur + t_hi) / 2 if t_hi is not None else t_cur + 1
-    for _ in range(_SAFETY_CAP):
-        lo, hi, alpha, beta = _basis_line(solve_at(probe), probe)
-        if alpha + beta * t_cur == val_cur:
-            end = hi
-            if end is None or (t_hi is not None and end >= t_hi):
-                end = t_hi  # None stays None
-            return end, alpha, beta
-        if lo is None or lo <= t_cur:
-            raise AssertionError("optimal line undercuts the value function")
-        probe = (t_cur + lo) / 2
-    raise RuntimeError("degenerate breakpoint probing did not terminate")
+    """(hi, alpha, beta): where the optimal basis of `out`, read at t,
+    stops being feasible (None = never), and its value line."""
+    hi = min((t - p / q for p, q in out.basic if q < 0), default=None)
+    return hi, out.tableau_value - out.slope * t, out.slope
 
 
 def _feasible_range(rows, b0, b1, nvars, t_min, t_max):

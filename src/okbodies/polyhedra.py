@@ -100,7 +100,9 @@ def solve_lp(p: HPolyhedron, objective, sense: str = "min") -> LPOutcome:
 
 def _drop_redundant(constraints) -> list:
     """Remove rows implied by the others, via one LP per candidate row.
-    Trivial rows (0 >= b with b <= 0) and duplicates go first, cheaply."""
+    Trivial rows (0 >= b with b <= 0) and duplicates go first, cheaply.
+    When the other rows are already infeasible, the system is empty and
+    becomes the single row 0 >= 1."""
     seen = set()
     rows = []
     for a, b in constraints:
@@ -120,6 +122,8 @@ def _drop_redundant(constraints) -> list:
         a, b = kept[i]
         others = kept[:i] + kept[i + 1:]
         out = simplex.solve_raw(others, a, "min")
+        if out.status == INFEASIBLE:
+            return [((Fraction(0),) * len(a), Fraction(1))]
         if out.status == OPTIMAL and out.value >= b:
             kept.pop(i)
         else:

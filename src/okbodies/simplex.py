@@ -21,8 +21,11 @@ between the artificial block and the rhs, never a candidate to enter and
 never read by the ratio test, so the pivots are the same with or without
 it.  At the optimum that column holds B^-1 d, the rate of each basic
 variable as b moves to b + s*d, and the reduced-cost row holds the
-objective's rate c_B.B^-1 d.  The standard-form layout stays private to
-this module.
+objective's rate c_B.B^-1 d.  `continue_along` moves such an outcome
+along d by dual simplex pivots on its final tableau (Lemke 1954), with
+the rhs column left at the solve point: a pivot on a row whose value at
+b + s*d is 0 moves no value there.  The standard-form layout stays
+private to this module.
 
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
 heuristics.  Intended for dimensions <= 10 and a few hundred constraints.
@@ -30,7 +33,7 @@ heuristics.  Intended for dimensions <= 10 and a few hundred constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -42,6 +45,7 @@ from .linalg import eliminate, int_rows, pivot
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,8 @@ class LPOutcome:
     basic: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
     tableau_value: Optional[Fraction] = None
     slope: Optional[Fraction] = None
+    # optimal with a rhs direction: the final tableau, for `continue_along`
+    tableau: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def _run_simplex(rows, dens, basis, ncols):
@@ -130,9 +136,8 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         # unconstrained: optimal only for zero objective; for "max" the ray
         # improves the internal min, equivalently the max
         if all(c == 0 for c in obj):
-            zero = Fraction(0)
-            line = (None, None, None) if direction is None else ((), zero, zero)
-            return LPOutcome(OPTIMAL, zero, (zero,) * n, None, (), *line)
+            line = (None, None, None) if direction is None else ((), _ZERO, _ZERO)
+            return LPOutcome(OPTIMAL, _ZERO, (_ZERO,) * n, None, (), *line)
         ray = tuple(Fraction(0) if c == 0 else (Fraction(-1) if c > 0 else Fraction(1))
                     for c in obj)
         return LPOutcome(UNBOUNDED, certificate=ray)
@@ -199,22 +204,66 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         _check_ray(given, obj, ray)
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
-    xstd = [Fraction(0)] * nstruct
-    for i in range(m):
-        if basis[i] < nstruct:
-            xstd[basis[i]] = Fraction(tab[i][-1], dens[i])
-    point = [xstd[k] - xstd[n + k] for k in range(n)]
-    value = sum((c * v for c, v in zip(obj, point)), Fraction(0))
-    _check_point(given, point)
+    return _optimal((tab, dens, basis, given, given_dens, obj, sense),
+                    None if direction is None else _ZERO)
+
+
+def continue_along(out: LPOutcome, s) -> LPOutcome:
+    """Move an optimal outcome of a solve with rhs direction d (or of a
+    continuation) to b + s*d, b being that solve's rhs and the basis
+    feasible there.  Dual pivots on a copy of the tableau, by Bland's rule
+    on the dual, make the basis feasible on b + (s + eps)*d for small
+    eps > 0: among rows whose value is 0 at s and whose rate is negative,
+    the lowest basic column leaves; the structural column j with the least
+    rc_j / -row_j over row_j < 0 enters, ties to the lowest.  INFEASIBLE
+    when none can: that row's slack entries are a Farkas vector y of d
+    (y.A = 0, y.d > 0) with y.(b + s*d) = 0."""
+    tab, dens, basis, given, given_dens, obj, sense = out.tableau
+    tab, dens, basis = tab[:], dens[:], basis[:]
+    m, n, s = len(basis), len(obj), Fraction(s)
+    p, q = s.numerator, s.denominator
+    # the rows whose value is 0 at s; the pivots keep every value there
+    zero = [i for i in range(m) if tab[i][-1] * q + p * tab[i][-2] == 0]
+    while True:
+        leave = min((i for i in zero if tab[i][-2] < 0), key=basis.__getitem__, default=None)
+        if leave is None:
+            return _optimal((tab, dens, basis, given, given_dens, obj, sense), s)
+        row, rc, enter = tab[leave], tab[m], None
+        for j in range(2 * n + m):
+            # rc_j / -row_j against the best ratio; denominators cancel
+            if row[j] < 0 and (enter is None or rc[j] * row[enter] > rc[enter] * row[j]):
+                enter = j
+        if enter is None:
+            y = row[2 * n:2 * n + m]
+            _check_farkas([g[:-1] for g in given], given_dens, n, y)
+            return LPOutcome(INFEASIBLE,
+                             certificate=tuple([Fraction(v, dens[leave]) for v in y]))
+        pivot(tab, dens, leave, enter)
+        basis[leave] = enter
+
+
+def _optimal(tableau, s):
+    """The optimal outcome of a final tableau; with a direction (s not
+    None), read at b + s*d, with its basic values' line and the tableau."""
+    tab, dens, basis, given, _, obj, sense = tableau
+    m, n = len(basis), len(obj)
+    p, q = (0, 1) if s is None else (s.numerator, s.denominator)
+    # each row's value at b + s*d; the reduced-cost row's is minus the value
+    vals = [Fraction(row[-1] * q + p * row[-2], den * q) for row, den in zip(tab, dens)]
+    x = dict(zip(basis, vals))
+    point = [x.get(k, _ZERO) - x.get(n + k, _ZERO) for k in range(n)]
+    value = sum((c * v for c, v in zip(obj, point)), _ZERO)
+    # the given rows (a, [d,] b) at b + s*d, as integer rows (q*a, q*b + p*d)
+    _check_point([[q * v for v in g[:n]] + [q * g[-1] + p * g[-2]] for g in given]
+                 if p else given, point)
     sign = -1 if sense == "max" else 1
-    line = (None, None, None)
-    if direction is not None:
-        rc, rden = tab[m], dens[m]
-        # a tuple from a list, not a generator: see linalg.int_rows
-        line = (tuple([(Fraction(tab[i][-1], dens[i]), Fraction(tab[i][-2], dens[i]))
-                       for i in sorted(range(m), key=basis.__getitem__)]),
-                Fraction(-sign * rc[-1], rden), Fraction(-sign * rc[-2], rden))
-    return LPOutcome(OPTIMAL, sign * value, tuple(point), None, tuple(sorted(basis)), *line)
+    if s is None:
+        return LPOutcome(OPTIMAL, sign * value, tuple(point), None, tuple(sorted(basis)))
+    # a tuple from a list, not a generator: see linalg.int_rows
+    basic = tuple([(vals[i], Fraction(tab[i][-2], dens[i]))
+                   for i in sorted(range(m), key=basis.__getitem__)])
+    return LPOutcome(OPTIMAL, sign * value, tuple(point), None, tuple(sorted(basis)), basic,
+                     -sign * vals[m], Fraction(-sign * tab[m][-2], dens[m]), tableau)
 
 
 # The checks run on the given rows as integer rows (numerators of a, [d,]

@@ -380,6 +380,19 @@ def test_curve_body_on_the_n30_ladder(tmp_path, flag):
     assert read_result(out)["canonical"]["result"] == _body_doc(curves._parametric_body(cjob))
 
 
+@pytest.mark.parametrize("flag", ["tropical", "arakelov"])
+def test_curve_body_on_the_n60_ladder(tmp_path, flag):
+    # the parametric cross-check continues one tableau along the family, so
+    # 60 vertices finish in seconds; exit 0 means the two routes agreed
+    doc = _ladder_doc(60, flag)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert run(["curve-body", flag, "--input", str(job), "--output", str(out)]) == 0
+    (cjob,) = parse_job(json.dumps(doc)).parsed
+    assert read_result(out)["canonical"]["result"] == _body_doc(curves.combinatorial_body(cjob))
+
+
 def test_verify_refuses_graphs_over_the_projection_cap(tmp_path, capsys):
     n = curves.FM_MAX_VERTICES + 1
     doc = _ladder_doc(n, "arakelov")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,28 @@ def test_arakelov_empty_system():
     job = CurveBodyJob(g, Divisor(g, [-3, 2]), ArakelovFlag("a"))
     with pytest.raises(EmptySystemError):
         compute_body(job)
+
+
+def test_projection_of_an_empty_system_fails_fast():
+    # draws of random.Random(5) with deg Lam < 0 whose lift makes every
+    # redundancy LP infeasible: before FM recorded an empty system as the
+    # one row 0 >= 1, each ran for more than 5 s
+    rng = random.Random(5)
+    pinned = {5, 33, 63}
+    met = set()
+    for k in range(max(pinned) + 1):
+        g = random_graph(rng, max_vertices=6)
+        lam = random_divisor(rng, g, bound=4)
+        if lam.degree() >= 0:
+            continue
+        v = g.vertices[rng.randrange(len(g.vertices))]
+        if k in pinned:
+            met.add(k)
+            t0 = time.perf_counter()
+            with pytest.raises(EmptySystemError):
+                arakelov_body_projection(CurveBodyJob(g, lam, ArakelovFlag(v)))
+            assert time.perf_counter() - t0 < 5, k
+    assert met == pinned
 
 
 def test_arakelov_shifted_start_warning():

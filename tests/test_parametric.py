@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from okbodies import curves, simplex
 from okbodies.errors import InfeasibleEverywhere, UnboundedValue
+from okbodies.jobs import parse_job
 from okbodies.parametric import parametric_value_function
 from okbodies.simplex import INFEASIBLE, OPTIMAL, solve_raw
+from tests.test_cli import _ladder_doc
 
 F = Fraction
 
@@ -140,3 +144,32 @@ def test_feasibility_window_detected():
                                     [F(1), F(0)], [F(1)], "min", (F(0), F(5)))
     assert res.feasible_start == 0
     assert res.feasible_end == 1
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the simplex.solve_raw calls."""
+    calls = []
+    solve = simplex.solve_raw
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return solve(*args)
+
+    monkeypatch.setattr(simplex, "solve_raw", counted)
+    return calls
+
+
+def test_three_cold_solves_per_family(solves):
+    # two for the feasible range and one at its left end; every breakpoint
+    # after that, and a degenerate start, is a continuation of that tableau
+    res = parametric_value_function([[F(1)], [F(1)], [F(1)]], [F(0), F(2), F(-3)],
+                                    [F(1), F(-1), F(2)], [F(1)], "min", (F(0), F(4)))
+    assert res.function.breakpoints == ((0, 2), (1, 1), (3, 3), (4, 5))
+    assert len(solves) == 3
+    for flag in ("tropical", "arakelov"):
+        (job,) = parse_job(json.dumps(_ladder_doc(10, flag))).parsed
+        solves.clear()
+        f = curves._parametric_body(job)
+        assert len(solves) == 3, flag
+        assert f == curves.combinatorial_body(job)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from okbodies.errors import ConsistencyError
 from okbodies.linalg import int_rows
 from okbodies.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, _check_farkas,
-                              _check_point, _check_ray, solve_raw)
+                              _check_point, _check_ray, continue_along, solve_raw)
 
 F = Fraction
 
@@ -257,6 +257,54 @@ def test_direction_gives_value_line_on_random_lps():
             assert again.value == out.value + s * out.slope
             checked += 1
     assert optimal >= 140 and checked >= 600
+
+
+def test_continuation_matches_cold_solves_on_random_lps():
+    # each optimal outcome is continued to the right end of its interval,
+    # up to four times; each continuation must give the cold value there
+    # and, one step inside its own interval, the cold line.  The digest of
+    # the continued bases pins the pivot rule's tie-breaks.
+    import hashlib
+    rng = random.Random(1610)
+    digest = hashlib.sha256()
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for _ in range(250):
+        cons, obj, sense = _random_rational_lp(rng)
+        d = [_rat(rng, -2, 2) for _ in cons]
+        out = solve_raw(cons, obj, sense, d)
+        s = F(0)
+        for _ in range(4):
+            if out.status != OPTIMAL:
+                break
+            _, hi = _validity(out.basic)
+            if hi is None:
+                break
+            s += hi
+            out = continue_along(out, s)
+            seen[out.status] += 1
+            digest.update(f"{out.status}|{out.basis}\n".encode())
+            if out.status == INFEASIBLE:
+                # a Farkas vector of d that vanishes at b + s*d
+                y = out.certificate
+                assert all(v >= 0 for v in y)
+                assert all(sum(v * a[k] for v, (a, _) in zip(y, cons)) == 0
+                           for k in range(len(obj)))
+                assert _dot(y, d) > 0 and _dot(y, [b + s * e for (_, b), e in zip(cons, d)]) == 0
+                assert _solve_at(cons, obj, sense, d, s + F(1, 1000)).status == INFEASIBLE
+                continue
+            assert out.value == out.tableau_value == _solve_at(cons, obj, sense, d, s).value
+            lo, hi = _validity(out.basic)
+            assert (lo is None or lo <= 0) and (hi is None or hi > 0)
+            step = hi / 2 if hi is not None else F(rng.randint(1, 9), rng.randint(1, 4))
+            assert (_solve_at(cons, obj, sense, d, s + step).value
+                    == out.value + step * out.slope)
+    assert seen == {OPTIMAL: 196, INFEASIBLE: 97}
+    assert digest.hexdigest() == (
+        "d3b1ef97801174bc4d49274dcad41e22e549dff3d10d77c1557fa5d7788901a4")
+
+
+def _solve_at(cons, obj, sense, d, s):
+    return solve_raw([(a, b + s * e) for (a, b), e in zip(cons, d)], obj, sense)
 
 
 # The certificate checks read the constraints as integer rows; their

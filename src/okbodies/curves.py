@@ -25,12 +25,23 @@ Three routes compute the boundary function, and they must agree exactly:
       active set J.
   parametric LP (the default cross-check of `compute_body`): optimal-basis
       continuation over the same family, with its own feasible range.
-  Fourier-Motzkin projection (the oracle of `cross_verify` and `verify`):
-      one lift {(phi, s) : phi in L+(Lam - s*D), s >= 0} in |V| + 1
-      coordinates, projected onto (phi(v), s).  Along D = Lam1 the image
-      is the tropical overgraph with its axes swapped; along D = e_v,
-      where s <= laplacian(phi)(v) + Lam(v), it is the Arakelov band.
-      Exponential in |V|, so capped at FM_MAX_VERTICES vertices.
+  support LPs (the oracle of `cross_verify` and `verify`): one lift
+      {(phi, s) : phi in L+(Lam - s*D), s >= 0} in |V| + 1 coordinates,
+      and its image in (phi(v), s).  Along D = Lam1 the image is the
+      tropical overgraph with its axes swapped; along D = e_v, where
+      s <= laplacian(phi)(v) + Lam(v), it is the Arakelov band.  Each is
+      bounded by one convex or concave function, so LPs in objective
+      directions find its half-planes (Lassez & Lassez 1992): the extreme
+      values of s and phi(v) give the two end points, and between two
+      known boundary points one LP along the chord's normal either
+      certifies the chord as an edge or returns a boundary point strictly
+      between them (the sandwich algorithm, Rote 1992).  That makes
+      2*(breakpoints) + 1 LPs; `enumerate_v_rep` turns the half-planes
+      into vertices and rays.
+
+The routes are independent: the least-element route makes no LP (LCP
+principal pivots); the parametric route moves the right-hand side along
+one tableau; the support LPs move the objective over a fixed system.
 """
 
 from __future__ import annotations
@@ -47,14 +58,15 @@ from .linsys import (LinearSystemSpec, build_system, least_element_path,
                      minimal_element)
 from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction
-from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep, project_out
+from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep
+from .simplex import INFEASIBLE, OPTIMAL, solve_raw
 
-# Largest graph `cross_verify` projects by Fourier-Motzkin.  The cap does
-# not bound the time, which depends on the vertex order: on the ladder
-# instance (C_n plus n//2 chords, Python 3.11 on a 2-CPU VM), over six
-# vertex orders and either flag, the projection took 0.2-1.1 s at n = 8
-# and 0.6-7.0 s at n = 10.  ROADMAP.md plans a work budget in its place.
-FM_MAX_VERTICES = 10
+# Largest graph `cross_verify` checks by support LPs.  It makes
+# 2*(breakpoints) + 1 cold LPs over the lift, and both factors grow with
+# |V|.  On the ladder instance (C_n plus n//2 chords, Python 3.11 on a
+# 2-CPU VM), over three vertex orders and either flag, the projection
+# took 0.4-0.6 s at n = 20, 1.2-1.5 s at n = 30 and 3.8-4.6 s at n = 40.
+VERIFY_MAX_VERTICES = 30
 
 # A tropical job has deg Lam > 0, and the Laplacian maps onto the rational
 # divisors of degree 0, so L+(Lam) is nonempty: its body is never empty.
@@ -242,26 +254,90 @@ def tropical_body_parametric(job: CurveBodyJob) -> ParametricResult:
     return result
 
 
-def _projected_lift(job: CurveBodyJob, direction) -> VPolyhedron:
-    """The lift {(phi, s) : phi in L+(Lam - s*D), s >= 0} of the family along
-    D = `direction`, projected by Fourier-Motzkin onto (phi(v), s)."""
-    n = len(job.graph.vertices)
-    iv = job.graph.index(job.flag.vertex)
+def _sandwich(p, q, support):
+    """(slope m, intercept c) of each edge dep = m*ind + c of a convex or
+    concave boundary between two of its points p and q, given as
+    (ind, dep) with p[0] <= q[0].  support(m) returns a point of the region
+    where dep - m*ind is optimal: least under a convex boundary, greatest
+    over a concave one.  When p[0] == q[0] the boundary is that one point,
+    given as the level line through it."""
+    if p[0] == q[0]:
+        return [(Fraction(0), p[1])]
+    edges, todo = [], [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        m = (q[1] - p[1]) / (q[0] - p[0])
+        r = support(m)
+        if r[1] - m * r[0] == p[1] - m * p[0]:
+            edges.append((m, p[1] - m * p[0]))
+            continue
+        if not p[0] < r[0] < q[0]:
+            raise ConsistencyError(f"support point {r} is not between {p} and {q}")
+        todo += [(p, r), (r, q)]
+    return edges
+
+
+def _support_image(job: CurveBodyJob) -> VPolyhedron:
+    """The image in (phi(v), s) of the lift {(phi, s) : phi in L+(Lam - s*D),
+    s >= 0}, D = Lam1 for a tropical flag and e_v for an Arakelov one, from
+    its half-planes, found by support LPs over the lift (empty when the
+    lift is)."""
+    g = job.graph
+    n, iv = len(g.vertices), g.index(job.flag.vertex)
+    tropical = isinstance(job.flag, TropicalFlag)
+    direction = (job.flag.y1_specialization.values if tropical
+                 else [int(i == iv) for i in range(n)])
     rows, rhs = _system_rows(job)
-    column = [-d for d in direction] + [0] * n
-    lifted = [((*a, c), b) for a, c, b in zip(rows, column, rhs)]
-    lifted.append(((0,) * n + (1,), 0))
-    return enumerate_v_rep(
-        project_out(HPolyhedron(n + 1, lifted), [i for i in range(n) if i != iv]))
+    lift = [((*a, -d), b) for a, d, b in zip(rows, [*direction] + [0] * n, rhs)]
+    lift.append(((0,) * n + (1,), 0))
+
+    def lift_row(y, s):
+        row = [0] * (n + 1)
+        row[iv], row[n] = y, s
+        return row
+
+    def lp(objective, sense, *extra):
+        """The optimal (phi(v), s) of objective (c_y, c_s) over the lift and
+        the rows (e_y, e_s, b): e_y*phi(v) + e_s*s >= b; None if infeasible."""
+        out = solve_raw(lift + [(lift_row(y, s), b) for y, s, b in extra],
+                        lift_row(*objective), sense)
+        if out.status == INFEASIBLE:
+            return None
+        if out.status != OPTIMAL:
+            raise ConsistencyError(f"the lift is unbounded along {objective} ({sense})")
+        return out.witness[iv], out.witness[n]
+
+    if tropical:
+        # the overgraph of a(s) over [t_lo, t_hi]; points as (s, a(s))
+        low = lp((0, 1), "min")
+        if low is None:
+            return VPolyhedron([])
+        t_lo, t_hi = low[1], lp((0, 1), "max")[1]
+        ends = [lp((1, 0), "min", (0, 1, t), (0, -1, -t))[::-1] for t in (t_lo, t_hi)]
+        edges = _sandwich(*ends, lambda m: lp((1, -m), "min")[::-1])
+        halfplanes = [((0, 1), t_lo), ((0, -1), -t_hi)]
+        halfplanes += [((1, -m), c) for m, c in edges]
+    else:
+        # the band under b(t) from t_lo on, constant B from t* on
+        low = lp((1, 0), "min")
+        if low is None:
+            return VPolyhedron([])
+        t_lo, top = low[0], lp((0, 1), "max")[1]
+        ends = [lp((0, 1), "max", (1, 0, t_lo), (-1, 0, -t_lo)),
+                lp((1, 0), "min", (0, 1, top))]
+        edges = _sandwich(*ends, lambda m: lp((-m, 1), "max"))
+        halfplanes = [((1, 0), t_lo), ((0, 1), 0), ((0, -1), -top)]
+        halfplanes += [((m, -1), -c) for m, c in edges]
+    return enumerate_v_rep(HPolyhedron(2, halfplanes))
 
 
 def tropical_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
-    """Same function via Fourier-Motzkin, from the lift along D = Lam1:
+    """Same function via support LPs, from the lift along D = Lam1:
     {(phi(v), t) : phi in L+(Lam - t*Lam1), t >= 0} is the overgraph
     {(y, t) : 0 <= t <= t_end, y >= a(t)}, because L+ is closed under
     adding constants and the sum of the Laplacian rows gives t <= t_end.
     So its vertices, read as (t, phi(v)), are the breakpoints."""
-    vrep = _projected_lift(job, job.flag.y1_specialization.values)
+    vrep = _support_image(job)
     if vrep.is_empty():
         raise ConsistencyError(f"projected body is empty: {_NONEMPTY_AT_ZERO}")
     if (Fraction(1), Fraction(0)) not in vrep.rays:
@@ -301,12 +377,12 @@ def arakelov_body_parametric(job: CurveBodyJob) -> ParametricResult:
 
 
 def arakelov_body_projection(job: CurveBodyJob) -> PiecewiseLinearFunction:
-    """Upper function via Fourier-Motzkin, from the lift along D = e_v:
+    """Upper function via support LPs, from the lift along D = e_v:
     {(phi(v), u) : phi in L+(Lam - u*e_v), u >= 0} is the band
     {(t, u) : 0 <= u <= b(t)}, because row v of the lift reads
     u <= laplacian(phi)(v) + Lam(v) (row v of L+(Lam) follows from it and
     u >= 0).  The upper boundary is read off the vertices."""
-    vrep = _projected_lift(job, [int(w == job.flag.vertex) for w in job.graph.vertices])
+    vrep = _support_image(job)
     if vrep.is_empty():
         raise EmptySystemError("the effective system is empty")
     if vrep.rays != ((Fraction(1), Fraction(0)),):
@@ -357,11 +433,11 @@ def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:
 def cross_verify(job: CurveBodyJob) -> VerificationReport:
     """Build the body by the least-element route, compare its boundary
     function with the projection route's exactly, and keep the body.
-    Graphs over FM_MAX_VERTICES vertices are refused up front."""
+    Graphs over VERIFY_MAX_VERTICES vertices are refused up front."""
     n = len(job.graph.vertices)
-    if n > FM_MAX_VERTICES:
+    if n > VERIFY_MAX_VERTICES:
         raise DimensionTooLarge(
-            f"the Fourier-Motzkin cross-check takes at most {FM_MAX_VERTICES} "
+            f"the support-LP cross-check takes at most {VERIFY_MAX_VERTICES} "
             f"vertices; this graph has {n}")
     body = combinatorial_body(job)
     if body.kind == "overgraph":

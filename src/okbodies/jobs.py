@@ -422,6 +422,21 @@ def _verify_curve_job(cjob: curves.CurveBodyJob, checks, label=""):
     _check(checks, f"{prefix}recession-closure", closed)
 
 
+def _first_difference(body: VPolyhedron, other: VPolyhedron) -> str:
+    """Names the first vertex, then ray, at which the vertex map's body and
+    the projection's differ; "" when they are equal."""
+    def text(point):
+        return "none" if point is None else "(" + ", ".join(map(str, point)) + ")"
+
+    for what, mine, theirs in (("vertex", body.vertices, other.vertices),
+                               ("ray", body.rays, other.rays)):
+        for i, (a, b) in enumerate(itertools.zip_longest(mine, theirs)):
+            if a != b:
+                return (f"first difference at {what} {i}: vertex map {text(a)}, "
+                        f"projection {text(b)}")
+    return ""
+
+
 def _run_verify(p: dict, parsed: tuple, seed):
     checks = []
     target = p["target"]
@@ -459,13 +474,15 @@ def _run_verify(p: dict, parsed: tuple, seed):
         # and the projection's half-spaces, as integer rows (A, B) with
         # a.x >= b reading A.x >= B, test the integer valuations
         image = toric.toric_body_halfspaces(model, flag)
-        _check(checks, "vertexmap-vs-projection",
-               toric.toric_body_vertexmap(model, flag) == enumerate_v_rep(image))
+        body, other = toric.toric_body_vertexmap(model, flag), enumerate_v_rep(image)
+        _check(checks, "vertexmap-vs-projection", body == other,
+               _first_difference(body, other))
         rows, _ = int_rows([[*a, b] for a, b in image.constraints])
+        value = toric.valuation_map(model, flag)
         inside = True
         for m in itertools.product(range(-4, 5), repeat=d):
             for h in range(0, 5):
-                val = toric.monomial_valuation(model, flag, m, h)
+                val = value(m, h)
                 if val is not toric.NOT_A_SECTION and any(
                         sum(map(mul, row, val)) < row[-1] for row in rows):
                     inside = False

@@ -10,9 +10,11 @@ special fiber fan (with coefficients a_v).  From these:
 
 A flag is an ordered lattice basis w_1 .. w_{d+1} of Z^{d+1} picked from
 the model's ray data; the body is the affine image of P_model under
-x_i = <(m, h), w_i> + a_{w_i}.  The image is computed twice (vertex map
-and Fourier-Motzkin), and the two canonical V-representations must be
-equal.
+x_i = <(m, h), w_i> + a_{w_i}.  The image is computed twice, and the two
+canonical V-representations must be equal: by the vertex map, which maps
+P_model's vertices forward, and by the inverse flag map, which maps
+P_model's rows back to half-spaces of the image and enumerates their
+vertices.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (ConsistencyError, DimensionMismatch, DimensionTooLarge,
                      FlagRayUnknown, InvalidToricModel, NotABasis,
                      OutsideGenericPolytope, UnboundedGenericPolytope)
 from .polyhedra import (HPolyhedron, VPolyhedron, in_cone, affine_image,
-                        enumerate_v_rep, project_out)
+                        enumerate_v_rep)
 
 IntVec = Tuple[int, ...]
 
@@ -162,16 +164,22 @@ def toric_body_vertexmap(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
 
 
 def toric_body_halfspaces(model: ToricModel, flag: ToricFlag) -> HPolyhedron:
-    """Body as an H-polyhedron, by Fourier-Motzkin: adjoin
-    x_i = <(m,h), w_i> + a_i as equality pairs in (m, h, x) and eliminate
-    (m, h)."""
+    """Body as an H-polyhedron, by the inverse flag map.  With W the matrix
+    of rows w_i, the flag map is x = W.(m, h) + a, and W is in GL(Z), so
+    (m, h) = W^-1.(x - a).  Each row <r, (m, h)> >= b of P_model becomes
+    <z, x> >= b + <z, a> with W^T z = r: exactly the image that
+    Fourier-Motzkin on the equality pairs x_i = <(m, h), w_i> + a_i
+    computes, with no redundancy LP.  Rows may be redundant, which neither
+    enumerate_v_rep nor a membership test minds."""
     flag.validate(model)
     k = model.ambient_dim + 1
-    rows = [(r + (0,) * k, b) for r, b in _model_rows(model)]
-    for i, (w, a) in enumerate(flag.rays):
-        row = tuple(-c for c in w) + tuple(int(i == j) for j in range(k))
-        rows += [(row, a), (tuple(-c for c in row), -a)]
-    return project_out(HPolyhedron(2 * k, rows), range(k))
+    transpose = [[w[j] for w, _ in flag.rays] for j in range(k)]
+    offset = [a for _, a in flag.rays]
+    rows = []
+    for r, b in _model_rows(model):
+        z = linalg.solve_square(transpose, r)
+        rows.append((z, b + linalg.dot(z, offset)))
+    return HPolyhedron(k, rows)
 
 
 def toric_body_projection(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
@@ -181,7 +189,10 @@ def toric_body_projection(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
 
 def toric_body(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
     """The body by the vertex map, which must equal the projection's body
-    as built, tuple for tuple.
+    as built, tuple for tuple.  The routes share only enumerate_v_rep: the
+    vertex map takes P_model's vertices forward by W, and the projection
+    takes P_model's rows back by W^T and enumerates the vertices of the
+    half-spaces they give.
 
     Equal sets give equal tuples: P_model is pointed (P_D is bounded and
     h >= 0), and so is its image under the flag map, which is an affine
@@ -208,15 +219,26 @@ def toric_body(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
 NOT_A_SECTION = "not-a-section"
 
 
-def monomial_valuation(model: ToricModel, flag: ToricFlag, m, h):
-    """Valuation vector (<(m,h), w_i> + a_i)_i of the monomial section
-    indexed by the integer point (m, h), or NOT_A_SECTION when (m, h)
-    violates a row of P_model (h >= 0 included); integers throughout."""
+def valuation_map(model: ToricModel, flag: ToricFlag):
+    """The valuation of monomial sections as a function of (m, h), with the
+    flag validated once: the vector (<(m,h), w_i> + a_i)_i for the integer
+    point (m, h), or NOT_A_SECTION when (m, h) violates a row of P_model
+    (h >= 0 included); integers throughout."""
     flag.validate(model)
-    point = _ivec(m, model.ambient_dim, "monomial exponent") + (int(h),)
-    if any(sum(map(mul, r, point)) < b for r, b in _model_rows(model)):
-        return NOT_A_SECTION
-    return tuple(sum(map(mul, w, point)) + a for w, a in flag.rays)
+    rows = _model_rows(model)
+
+    def value(m, h):
+        point = _ivec(m, model.ambient_dim, "monomial exponent") + (int(h),)
+        if any(sum(map(mul, r, point)) < b for r, b in rows):
+            return NOT_A_SECTION
+        return tuple(sum(map(mul, w, point)) + a for w, a in flag.rays)
+    return value
+
+
+def monomial_valuation(model: ToricModel, flag: ToricFlag, m, h):
+    """Valuation vector of the monomial section indexed by (m, h), or
+    NOT_A_SECTION (see valuation_map)."""
+    return valuation_map(model, flag)(m, h)
 
 
 def lattice_point_count(poly: HPolyhedron) -> int:

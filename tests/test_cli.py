@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from okbodies import curves, jobs, toric
+from okbodies import curves, jobs, linalg, toric
 from okbodies.cli import main
 from okbodies.errors import (BadRational, ConsistencyError, NonIntegerDivisor,
                              SchemaError)
@@ -349,7 +349,9 @@ def test_verify_names_the_first_disagreement(tmp_path, monkeypatch, breakpoints,
 def _ladder_doc(n, flag):
     """The size-ladder curve job: C_n plus n//2 chords drawn with
     random.Random(1), Lam(v) in [0, 3] from the same generator, flag
-    vertex v0, Lam1 = (v0)."""
+    vertex v0, Lam1 = (v0).  Each n draws from a fresh generator, so these
+    are not the graphs of perfbench/workloads._curve_jobs, which draws its
+    rungs from one generator in turn."""
     rng = random.Random(1)
     names = [f"v{i}" for i in range(n)]
     edges = [[names[i], names[(i + 1) % n]] for i in range(n)]
@@ -393,17 +395,36 @@ def test_curve_body_on_the_n60_ladder(tmp_path, flag):
     assert read_result(out)["canonical"]["result"] == _body_doc(curves.combinatorial_body(cjob))
 
 
-def test_verify_refuses_graphs_over_the_projection_cap(tmp_path, capsys):
-    n = curves.FM_MAX_VERTICES + 1
-    doc = _ladder_doc(n, "arakelov")
+def _verify_doc(n, flag):
+    doc = _ladder_doc(n, flag)
     doc["kind"] = "verify"
     doc["payload"]["target"] = "curve-body"
+    return doc
+
+
+@pytest.mark.parametrize("flag", ["tropical", "arakelov"])
+def test_verify_on_the_n30_ladder(tmp_path, flag):
+    # n = 30 is the largest graph verify admits
     job = tmp_path / "job.json"
-    job.write_text(json.dumps(doc))
+    job.write_text(json.dumps(_verify_doc(curves.VERIFY_MAX_VERTICES, flag)))
     out = tmp_path / "r.json"
+    assert run(["verify", "--input", str(job), "--output", str(out)]) == 0
+    result = read_result(out)["canonical"]["result"]
+    assert result["pass"] is True
+    assert [c["name"] for c in result["checks"]] == ["dual-algorithm", "recession-closure"]
+
+
+def test_verify_refuses_graphs_over_the_projection_cap(tmp_path, capsys):
+    n = curves.VERIFY_MAX_VERTICES + 1
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(_verify_doc(n, "arakelov")))
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
     assert run(["verify", "--input", str(job), "--output", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"at most {curves.FM_MAX_VERTICES} vertices" in err
+    assert err.startswith("error: ")
+    assert f"support-LP cross-check takes at most {curves.VERIFY_MAX_VERTICES} vertices" in err
     assert not out.exists()
     # the curve-body job itself is not capped
     doc = _ladder_doc(n, "arakelov")
@@ -444,6 +465,49 @@ def test_verify_refuses_toric_models_over_the_walk_cap(tmp_path, capsys):
     # the toric-body job itself is not capped
     job.write_text(json.dumps(_cube_doc(d)))
     assert run(["toric-body", "--input", str(job), "--output", str(out)]) == 0
+
+
+def test_toric_verify_validates_the_flag_once_per_walk(tmp_path, monkeypatch):
+    # the walk visits 5 * 9^d monomials; flag validation (one det_int) runs
+    # a fixed number of times per job, whatever d
+    calls = []
+    det_int = linalg.det_int
+
+    def counted(matrix):
+        calls.append(matrix)
+        return det_int(matrix)
+
+    monkeypatch.setattr(linalg, "det_int", counted)
+    counts = {}
+    for d in (1, 2, 3):
+        doc = _cube_doc(d)
+        doc["kind"] = "verify"
+        doc["payload"]["target"] = "toric-body"
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(doc))
+        calls.clear()
+        assert run(["verify", "--input", str(job), "--output", str(tmp_path / "r.json")]) == 0
+        counts[d] = len(calls)
+    assert counts[1] == counts[2] == counts[3] < 9, counts
+
+
+@pytest.mark.parametrize("wrong, detail", [
+    (VPolyhedron([(0, 0), (1, 2)], [(0, 1)]),
+     "first difference at vertex 1: vertex map (1, 2), projection (1, 1)"),
+    (VPolyhedron([(0, 0), (1, 1)], [(0, 1), (1, 1)]),
+     "first difference at ray 1: vertex map (1, 1), projection none"),
+    (VPolyhedron([(0, 0)], [(0, 1)]),
+     "first difference at vertex 1: vertex map none, projection (1, 1)"),
+])
+def test_toric_verify_names_the_first_difference(tmp_path, monkeypatch, wrong, detail):
+    monkeypatch.setattr(toric, "toric_body_vertexmap", lambda model, flag: wrong)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--input", jobpath("verify-toric-d1.json"),
+                "--output", str(out)]) == 1
+    result = read_result(out)["canonical"]["result"]
+    assert result["pass"] is False
+    assert result["checks"][0] == {"name": "vertexmap-vs-projection", "pass": False,
+                                   "detail": detail}
 
 
 def test_verify_refuses_rank_jobs_over_the_enumeration_bound(tmp_path, capsys):

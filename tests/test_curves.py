@@ -1,17 +1,23 @@
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from okbodies import curves
 from okbodies.curves import (ArakelovFlag, CurveBodyJob, TropicalFlag,
-                             _parametric_body, arakelov_body_projection,
-                             combinatorial_body, compute_body, cross_verify,
-                             stabilization, tropical_body_projection)
+                             _parametric_body, _support_image,
+                             arakelov_body_projection, combinatorial_body,
+                             compute_body, cross_verify, stabilization,
+                             tropical_body_projection)
 from okbodies.errors import EmptySystemError, NonPositiveDegree, OkbodiesError
 from okbodies.graphs import Divisor, Graph
-from okbodies.linsys import LinearSystemSpec, minimal_element
+from okbodies.jobs import parse_job
+from okbodies.linsys import LinearSystemSpec, build_system, minimal_element
+from okbodies.polyhedra import HPolyhedron, enumerate_v_rep, project_out
 from okbodies.sampling import random_divisor, random_graph, random_rational
+from tests.test_cli import _ladder_doc
 from tests.test_graphs import quartic
 
 F = Fraction
@@ -256,3 +262,62 @@ def test_projection_does_not_depend_on_the_vertex_order():
         rng.shuffle(order)
         assert project(_reordered(job, order)) == f, (job, order)
     assert {type(job.flag) for job in cases} == {TropicalFlag, ArakelovFlag}
+
+
+def _fm_image(job):
+    """The image of the same lift by Fourier-Motzkin, the reference for
+    the support LPs."""
+    g = job.graph
+    n, iv = len(g.vertices), g.index(job.flag.vertex)
+    if isinstance(job.flag, TropicalFlag):
+        direction = job.flag.y1_specialization.values
+    else:
+        direction = [int(i == iv) for i in range(n)]
+    rows = build_system(LinearSystemSpec(g, job.lam, True)).constraints
+    lift = [((*a, -d), b) for (a, b), d in zip(rows, [*direction] + [0] * n)]
+    lift.append(((0,) * n + (1,), 0))
+    return enumerate_v_rep(
+        project_out(HPolyhedron(n + 1, lift), [i for i in range(n) if i != iv]))
+
+
+def test_support_lps_match_fourier_motzkin():
+    # seeded jobs on up to 6 vertices, both flags, empty Arakelov systems
+    # included: the two images are equal as built
+    rng = random.Random(11)
+    flags, empty = set(), 0
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=6)
+        lam = random_divisor(rng, g, bound=4)
+        v = g.vertices[rng.randrange(len(g.vertices))]
+        if rng.random() < 0.5 and lam.degree() > 0:
+            pick = rng.randrange(len(g.vertices))
+            y1 = Divisor(g, [1 if i == pick else 0 for i in range(len(g.vertices))])
+            job = CurveBodyJob(g, lam, TropicalFlag(y1, v))
+        else:
+            job = CurveBodyJob(g, lam, ArakelovFlag(v))
+        image = _support_image(job)
+        assert image == _fm_image(job), job
+        flags.add(type(job.flag))
+        empty += image.is_empty()
+    assert flags == {TropicalFlag, ArakelovFlag} and empty >= 50
+
+
+@pytest.mark.parametrize("n", [8, 10, 14, 20, 30])
+def test_support_lps_per_breakpoint(monkeypatch, n):
+    # two LPs for the range, two for its end points, then one per edge and
+    # one per interior breakpoint: 2*(breakpoints) + 1, and no more
+    lps = []
+    solve = curves.solve_raw
+
+    def counted(*args):
+        lps.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(curves, "solve_raw", counted)
+    for flag, project in (("tropical", tropical_body_projection),
+                          ("arakelov", arakelov_body_projection)):
+        (job,) = parse_job(json.dumps(_ladder_doc(n, flag))).parsed
+        lps.clear()
+        f = project(job)
+        assert len(f.breakpoints) >= 2
+        assert len(lps) == 2 * len(f.breakpoints) + 1, (flag, len(f.breakpoints))

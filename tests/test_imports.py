@@ -15,6 +15,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "okbodies"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PACKAGE_NAME = PACKAGE.name
+FOURIER_MOTZKIN = {"project_out", "fm_eliminate"}
 
 
 def _unused_imports(source: str):
@@ -86,6 +87,26 @@ def test_no_private_names_from_other_modules(path):
     assert _private_uses(path.read_text()) == []
 
 
+def _fourier_motzkin_calls(source: str):
+    """(line, name) of each call of the Fourier-Motzkin functions, by name
+    or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in FOURIER_MOTZKIN:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_fourier_motzkin_stays_in_polyhedra(path):
+    # FM is exponential: it stays a library function and the tests'
+    # reference, and no production path calls it
+    if path.name != "polyhedra.py":
+        assert _fourier_motzkin_calls(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_annotations_resolve(path):
     module = importlib.import_module(f"okbodies.{path.stem}")
@@ -115,3 +136,11 @@ def test_check_sees_a_private_import():
               "okbodies.simplex._dot(_gcd)\n")
     assert _private_uses(source) == [
         (2, "_compositions"), (5, "orc._key"), (6, "okbodies.simplex._dot")]
+
+
+def test_check_sees_a_fourier_motzkin_call():
+    source = ("from .polyhedra import project_out\n"
+              "from . import polyhedra\n"
+              "project_out(p, [0])\n"
+              "polyhedra.fm_eliminate(p, 1)\n")
+    assert _fourier_motzkin_calls(source) == [(3, "project_out"), (4, "fm_eliminate")]

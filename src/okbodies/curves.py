@@ -36,8 +36,11 @@ Three routes compute the boundary function, and they must agree exactly:
       known boundary points one LP along the chord's normal either
       certifies the chord as an edge or returns a boundary point strictly
       between them (the sandwich algorithm, Rote 1992).  That makes
-      2*(breakpoints) + 1 LPs; `enumerate_v_rep` turns the half-planes
-      into vertices and rays.
+      2*(breakpoints) + 1 LPs, and none is solved cold: one zero-objective
+      solve of the lift keeps its tableau, and each support LP is a
+      `simplex.reoptimize` of it, each end point on the optimal face of
+      its range LP (lexicographic).  `enumerate_v_rep` turns the
+      half-planes into vertices and rays.
 
 The routes are independent: the least-element route makes no LP (LCP
 principal pivots); the parametric route moves the right-hand side along
@@ -59,13 +62,15 @@ from .linsys import (LinearSystemSpec, build_system, least_element_path,
 from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction
 from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep
-from .simplex import INFEASIBLE, OPTIMAL, solve_raw
+from .simplex import INFEASIBLE, OPTIMAL, reoptimize, solve_raw
 
-# Largest graph `cross_verify` checks by support LPs.  It makes
-# 2*(breakpoints) + 1 cold LPs over the lift, and both factors grow with
-# |V|.  On the ladder instance (C_n plus n//2 chords, Python 3.11 on a
-# 2-CPU VM), over three vertex orders and either flag, the projection
-# took 0.4-0.6 s at n = 20, 1.2-1.5 s at n = 30 and 3.8-4.6 s at n = 40.
+# Largest graph `cross_verify` checks by support LPs.  It makes one cold
+# solve of the lift and 2*(breakpoints) + 1 re-optimisations of it, and
+# both the breakpoints and the pivots per re-optimisation grow with |V|.
+# On the ladder instance (`tests/test_cli._ladder_doc`: C_n plus n//2
+# chords, Python 3.11 on a 2-CPU VM), over three vertex orders and either
+# flag, the projection took 0.09-0.10 s at n = 20, 0.45-0.65 s at n = 30
+# and 1.8-2.5 s at n = 40.
 VERIFY_MAX_VERTICES = 30
 
 # A tropical job has deg Lam > 0, and the Laplacian maps onto the rational
@@ -280,8 +285,10 @@ def _sandwich(p, q, support):
 def _support_image(job: CurveBodyJob) -> VPolyhedron:
     """The image in (phi(v), s) of the lift {(phi, s) : phi in L+(Lam - s*D),
     s >= 0}, D = Lam1 for a tropical flag and e_v for an Arakelov one, from
-    its half-planes, found by support LPs over the lift (empty when the
-    lift is)."""
+    its half-planes (empty when the lift is).  One cold solve of the lift
+    with a zero objective; every support LP re-optimises its tableau: the
+    range LPs and the sandwich LPs from that solve, each end point on the
+    face of its range LP."""
     g = job.graph
     n, iv = len(g.vertices), g.index(job.flag.vertex)
     tropical = isinstance(job.flag, TropicalFlag)
@@ -290,43 +297,38 @@ def _support_image(job: CurveBodyJob) -> VPolyhedron:
     rows, rhs = _system_rows(job)
     lift = [((*a, -d), b) for a, d, b in zip(rows, [*direction] + [0] * n, rhs)]
     lift.append(((0,) * n + (1,), 0))
+    base = solve_raw(lift, [0] * (n + 1), "min", [0] * len(lift))
+    if base.status == INFEASIBLE:
+        return VPolyhedron([])
 
-    def lift_row(y, s):
-        row = [0] * (n + 1)
-        row[iv], row[n] = y, s
-        return row
-
-    def lp(objective, sense, *extra):
-        """The optimal (phi(v), s) of objective (c_y, c_s) over the lift and
-        the rows (e_y, e_s, b): e_y*phi(v) + e_s*s >= b; None if infeasible."""
-        out = solve_raw(lift + [(lift_row(y, s), b) for y, s, b in extra],
-                        lift_row(*objective), sense)
-        if out.status == INFEASIBLE:
-            return None
+    def lp(face, objective, sense):
+        """The optimal outcome of objective (c_y, c_s), for c_y*phi(v) +
+        c_s*s, over the optimal points of `face`."""
+        c = [0] * (n + 1)
+        c[iv], c[n] = objective
+        out = reoptimize(face, c, sense)
         if out.status != OPTIMAL:
             raise ConsistencyError(f"the lift is unbounded along {objective} ({sense})")
+        return out
+
+    def point(out):
         return out.witness[iv], out.witness[n]
 
     if tropical:
         # the overgraph of a(s) over [t_lo, t_hi]; points as (s, a(s))
-        low = lp((0, 1), "min")
-        if low is None:
-            return VPolyhedron([])
-        t_lo, t_hi = low[1], lp((0, 1), "max")[1]
-        ends = [lp((1, 0), "min", (0, 1, t), (0, -1, -t))[::-1] for t in (t_lo, t_hi)]
-        edges = _sandwich(*ends, lambda m: lp((1, -m), "min")[::-1])
+        low, high = lp(base, (0, 1), "min"), lp(base, (0, 1), "max")
+        t_lo, t_hi = low.value, high.value
+        ends = [point(lp(face, (1, 0), "min"))[::-1] for face in (low, high)]
+        edges = _sandwich(*ends, lambda m: point(lp(base, (1, -m), "min"))[::-1])
         halfplanes = [((0, 1), t_lo), ((0, -1), -t_hi)]
         halfplanes += [((1, -m), c) for m, c in edges]
     else:
         # the band under b(t) from t_lo on, constant B from t* on
-        low = lp((1, 0), "min")
-        if low is None:
-            return VPolyhedron([])
-        t_lo, top = low[0], lp((0, 1), "max")[1]
-        ends = [lp((0, 1), "max", (1, 0, t_lo), (-1, 0, -t_lo)),
-                lp((1, 0), "min", (0, 1, top))]
-        edges = _sandwich(*ends, lambda m: lp((-m, 1), "max"))
-        halfplanes = [((1, 0), t_lo), ((0, 1), 0), ((0, -1), -top)]
+        low, top = lp(base, (1, 0), "min"), lp(base, (0, 1), "max")
+        t_lo = low.value
+        ends = [point(lp(low, (0, 1), "max")), point(lp(top, (1, 0), "min"))]
+        edges = _sandwich(*ends, lambda m: point(lp(base, (-m, 1), "max")))
+        halfplanes = [((1, 0), t_lo), ((0, 1), 0), ((0, -1), -top.value)]
         halfplanes += [((m, -1), -c) for m, c in edges]
     return enumerate_v_rep(HPolyhedron(2, halfplanes))
 

@@ -110,6 +110,19 @@ def solve_square(matrix, rhs):
     return [Fraction(rows[i][n], dens[i]) for i in range(n)]
 
 
+def solve_integer(aug):
+    """Solve M x = r for the augmented square system aug = [M | r] (rows of
+    ints and Fractions), with one elimination.  Returns the numerators of x
+    over one positive denominator, (nums, den), or None when M is
+    singular."""
+    n = len(aug)
+    rows, dens, pivots, _, _ = _reduce(aug, n)
+    if len(pivots) < n:
+        return None
+    den = lcm(*dens)
+    return [row[n] * (den // d) for row, d in zip(rows, dens)], den
+
+
 def det_int(matrix) -> int:
     """Determinant of a square integer matrix."""
     n = len(matrix)
@@ -141,6 +154,23 @@ def nullspace(matrix, ncols=None):
     return basis
 
 
+def null_vector(matrix, ncols):
+    """The primitive integer vector that spans the right nullspace of
+    `matrix` (rows of ints and Fractions, `ncols` columns), positive at its
+    one non-pivot column, or None when the nullspace is not a line."""
+    rows, dens, pivots, _, _ = _reduce(matrix, ncols)
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(j for j in range(ncols) if j not in pivots)
+    den = lcm(*dens[:len(pivots)])
+    vec = [0] * ncols
+    vec[free] = den
+    for row, d, c in zip(rows, dens, pivots):
+        vec[c] = -row[free] * (den // d)
+    g = gcd(*vec)
+    return [v // g for v in vec]
+
+
 def primitive_direction(vec):
     """Scale a rational vector by a positive factor to a primitive integer
     vector.  The sign is kept as-is; the zero vector stays zero."""
@@ -150,6 +180,12 @@ def primitive_direction(vec):
         return (Fraction(0),) * len(ints)
     # from a list, not a generator: see int_rows
     return tuple([Fraction(v, g) for v in ints])
+
+
+def int_dot(row, x):
+    """Dot product over the first len(x) entries of row: with integer rows
+    and vectors, no Fraction is built."""
+    return sum(map(mul, row, x))
 
 
 def dot(a, b):

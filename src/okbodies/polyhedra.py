@@ -173,9 +173,16 @@ def enumerate_v_rep(p: HPolyhedron) -> VPolyhedron:
     subsets.  A non-pointed polyhedron is split into a pointed section
     plus its lineality directions (emitted as opposite ray pairs).
 
+    The rows, section rows included, become integer rows (A, B), A.x >= B,
+    once.  Each d-subset is solved by `linalg.solve_integer` to numerators
+    X over one denominator D > 0, so feasibility reads A.X >= B*D; each
+    (d-1)-subset of rank d-1 gives a primitive integer direction r by
+    `linalg.null_vector`, tested by A.r >= 0.  Fractions are built only
+    for the result.
+
     The result is canonical as built, with no LP:
-    - `work` is pointed: L, the lineality space of p, meets L^perp, which
-      the section rows cut out, only in 0.
+    - `work` (the rows plus the section) is pointed: L, the lineality
+      space of p, meets L^perp, which the section rows cut out, only in 0.
     - A feasible solution of a nonsingular d-subset of rows is a vertex,
       and a nonempty pointed polyhedron has one; so finding no vertex means
       p (which is work + L) is empty.
@@ -191,39 +198,34 @@ def enumerate_v_rep(p: HPolyhedron) -> VPolyhedron:
     if d > 10:
         raise DimensionTooLarge(f"vertex enumeration capped at dimension 10, got {d}")
 
-    amat = [list(a) for a, _ in p.constraints]
-    lineality = linalg.nullspace(amat, ncols=d)
-    work = p
+    lineality = linalg.nullspace([list(a) for a, _ in p.constraints], ncols=d)
     rays = set()
-    if lineality:
-        section = []
-        for vec in lineality:
-            vec = linalg.primitive_direction(vec)
-            for r in (vec, tuple(-v for v in vec)):
-                rays.add(r)
-                section.append((r, Fraction(0)))
-        work = p.with_constraints(section)
+    section = []
+    for vec in lineality:
+        vec = linalg.primitive_direction(vec)
+        for r in (vec, tuple(-v for v in vec)):
+            rays.add(r)
+            section.append([*r, 0])
+    work, _ = linalg.int_rows([[*a, b] for a, b in p.constraints] + section)
 
-    cons = work.constraints
     vertices = set()
-    for subset in itertools.combinations(range(len(cons)), d):
-        mat = [list(cons[i][0]) for i in subset]
-        rhs = [cons[i][1] for i in subset]
-        sol = linalg.solve_square(mat, rhs)
-        if sol is not None and work.contains(sol):
-            vertices.add(tuple(sol))
+    for subset in itertools.combinations(work, d):
+        sol = linalg.solve_integer(subset)
+        if sol is None:
+            continue
+        x, den = sol
+        if all(linalg.int_dot(row, x) >= row[d] * den for row in work):
+            vertices.add(tuple([Fraction(v, den) for v in x]))
     if not vertices:
         return VPolyhedron([], [])
 
-    for subset in itertools.combinations(range(len(cons)), d - 1) if d else ():
-        mat = [list(cons[i][0]) for i in subset]
-        null = linalg.nullspace(mat, ncols=d)
-        if len(null) != 1:
+    for subset in itertools.combinations(work, d - 1) if d else ():
+        r = linalg.null_vector(subset, d)
+        if r is None:
             continue
-        r = linalg.primitive_direction(null[0])
-        for cand in (r, tuple(-v for v in r)):
-            if all(linalg.dot(a, cand) >= 0 for a, _ in cons):
-                rays.add(cand)
+        for cand in (r, [-v for v in r]):
+            if all(linalg.int_dot(row, cand) >= 0 for row in work):
+                rays.add(tuple(cand))
     return VPolyhedron(sorted(vertices), sorted(rays))
 
 

@@ -24,8 +24,20 @@ variable as b moves to b + s*d, and the reduced-cost row holds the
 objective's rate c_B.B^-1 d.  `continue_along` moves such an outcome
 along d by dual simplex pivots on its final tableau (Lemke 1954), with
 the rhs column left at the solve point: a pivot on a row whose value at
-b + s*d is 0 moves no value there.  The standard-form layout stays
-private to this module.
+b + s*d is 0 moves no value there.
+
+Lexicographic re-optimisation: `reoptimize` optimises a new objective
+over the optimal points of an outcome that kept its tableau (a solve with
+a direction, a zero one included, or another re-optimisation).  It prices
+the new cost row on a copy of the final tableau and runs phase 2 with
+only the outcome's own candidate columns whose reduced cost is 0 allowed
+to enter.  The others stay nonbasic at 0, which holds every visited point
+on the optimal face, and the artificials never enter.  A reduced cost set
+positive would not block a column, since each pivot rewrites that row, so
+the face is kept by the entering scan alone.  From a zero-objective solve
+every structural column has reduced cost 0: the face is the whole system,
+and the re-optimisation is a phase 2 from the phase-1 basis.  The
+standard-form layout stays private to this module.
 
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
 heuristics.  Intended for dimensions <= 10 and a few hundred constraints.
@@ -36,11 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, DimensionMismatch
-from .linalg import eliminate, int_rows, pivot
+from .linalg import dot, eliminate, int_dot, int_rows, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -62,18 +73,19 @@ class LPOutcome:
     basic: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
     tableau_value: Optional[Fraction] = None
     slope: Optional[Fraction] = None
-    # optimal with a rhs direction: the final tableau, for `continue_along`
+    # optimal with a rhs direction: the final tableau and the columns that
+    # may enter, for `continue_along` and `reoptimize`
     tableau: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-def _run_simplex(rows, dens, basis, ncols):
-    """Bland pivoting until optimal or unbounded.  rows[-1] is the
-    reduced-cost row.  Returns the entering column on unboundedness, else
-    None."""
+def _run_simplex(rows, dens, basis, cols):
+    """Bland pivoting until optimal or unbounded, with only the columns in
+    `cols` (ascending) candidates to enter.  rows[-1] is the reduced-cost
+    row.  Returns the entering column on unboundedness, else None."""
     m = len(basis)
     rcost = rows[m]
     while True:
-        enter = next((j for j in range(ncols) if rcost[j] < 0), None)
+        enter = next((j for j in cols if rcost[j] < 0), None)
         if enter is None:
             return None
         leave = None
@@ -105,6 +117,25 @@ def _price(rows, dens, basis, cost):
     return rc, den
 
 
+def _cost(objective, sense):
+    """The objective as the internal minimisation's cost vector."""
+    if sense == "max":
+        return [-c for c in objective]
+    if sense != "min":
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    return list(objective)
+
+
+def _ray(tab, dens, basis, entering, n):
+    """The ray of a final tableau on which column `entering` improves the
+    cost without bound: that column at 1, each basic one moved by minus
+    its entry, read in the free variables x = x+ - x-."""
+    step = {entering: Fraction(1)}
+    for i, k in enumerate(basis):
+        step[k] = Fraction(-tab[i][entering], dens[i])
+    return [step.get(k, _ZERO) - step.get(n + k, _ZERO) for k in range(n)]
+
+
 def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
               objective: Sequence[Fraction],
               sense: str = "min",
@@ -120,11 +151,7 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         if len(a) != nvars:
             raise DimensionMismatch(
                 f"constraint has {len(a)} coefficients, expected {nvars}")
-    obj = list(objective)
-    if sense == "max":
-        obj = [-c for c in obj]
-    elif sense != "min":
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    obj = _cost(objective, sense)
     rows = constraints
     m = len(rows)
     n = nvars
@@ -161,13 +188,13 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         row[nstruct + i] = d
         tab[i] = row
     basis = [nstruct + i for i in range(m)]
-    ncols = nstruct + m  # the direction column and the rhs never enter
     tail = [0] if direction is None else [0, 0]  # costs of the last columns
     rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + tail)
     tab.append(rc)
     dens.append(rden)
 
-    _run_simplex(tab, dens, basis, ncols)
+    # the direction column and the rhs never enter
+    _run_simplex(tab, dens, basis, range(nstruct + m))
     rc, rden = tab[m], dens[m]
     if rc[-1] < 0:
         # phase-1 optimum -rcost[-1] > 0.  Farkas from phase-1 duals:
@@ -186,26 +213,55 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
             pivot(tab, dens, i, j)
             basis[i] = j
 
-    # phase 2: real costs on structural columns, artificials forbidden; the
-    # rhs entry of the reduced-cost row is minus the objective value
-    rc, rden = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m) + tail)
-    for j in range(nstruct, ncols):
-        rc[j] = rden  # reduced cost 1 blocks artificials from re-entering
-    tab[m], dens[m] = rc, rden
-    entering = _run_simplex(tab, dens, basis, nstruct)
+    # phase 2: real costs, only structural columns enter; the rhs entry of
+    # the reduced-cost row is minus the objective value
+    tab[m], dens[m] = _price(tab, dens, basis,
+                             obj + [-c for c in obj] + [0] * (2 * m) + tail)
+    cols = range(nstruct)
+    entering = _run_simplex(tab, dens, basis, cols)
 
     if entering is not None:
-        step = [Fraction(0)] * nstruct
-        step[entering] = Fraction(1)
-        for i in range(m):
-            if basis[i] < nstruct:
-                step[basis[i]] = Fraction(-tab[i][entering], dens[i])
-        ray = [step[k] - step[n + k] for k in range(n)]
+        ray = _ray(tab, dens, basis, entering, n)
         _check_ray(given, obj, ray)
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
-    return _optimal((tab, dens, basis, given, given_dens, obj, sense),
+    return _optimal((tab, dens, basis, given, given_dens, obj, sense, cols),
                     None if direction is None else _ZERO)
+
+
+def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
+               sense: str = "min") -> LPOutcome:
+    """Optimise `objective` over the optimal points of `out`, an optimal
+    outcome of `solve_raw` with a direction or of `reoptimize` (so a chain
+    of calls is lexicographic).  Phase 2 on a copy of out's final tableau,
+    by Bland's rule over the columns that could enter out and have reduced
+    cost 0 in its cost row.  OPTIMAL with a witness that must keep out's
+    value, or UNBOUNDED with a ray that must keep it too; each certificate
+    is checked as `solve_raw` checks its own."""
+    if out.tableau is None:
+        raise ValueError("reoptimize needs an optimal outcome that kept its tableau")
+    tab, dens, basis, given, given_dens, old, _, cols = out.tableau
+    n = len(old)
+    if len(objective) != n:
+        raise DimensionMismatch(f"objective has {len(objective)} entries, expected {n}")
+    obj = _cost(objective, sense)
+    tab, dens, basis = tab[:], dens[:], basis[:]
+    m = len(basis)
+    rc = tab[m]
+    cols = [j for j in cols if rc[j] == 0]
+    # costs of the slack, artificial and direction columns and the rhs are 0
+    tab[m], dens[m] = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m + 2))
+    entering = _run_simplex(tab, dens, basis, cols)
+    if entering is not None:
+        ray = _ray(tab, dens, basis, entering, n)
+        _check_ray(given, obj, ray)
+        if dot(old, ray) != 0:
+            raise ConsistencyError("re-optimised ray leaves the optimal face")
+        return LPOutcome(UNBOUNDED, certificate=tuple(ray))
+    new = _optimal((tab, dens, basis, given, given_dens, obj, sense, cols), _ZERO)
+    if dot(old, new.witness) != dot(old, out.witness):
+        raise ConsistencyError("re-optimised witness leaves the optimal face")
+    return new
 
 
 def continue_along(out: LPOutcome, s) -> LPOutcome:
@@ -218,7 +274,7 @@ def continue_along(out: LPOutcome, s) -> LPOutcome:
     rc_j / -row_j over row_j < 0 enters, ties to the lowest.  INFEASIBLE
     when none can: that row's slack entries are a Farkas vector y of d
     (y.A = 0, y.d > 0) with y.(b + s*d) = 0."""
-    tab, dens, basis, given, given_dens, obj, sense = out.tableau
+    tab, dens, basis, given, given_dens, obj, sense, cols = out.tableau
     tab, dens, basis = tab[:], dens[:], basis[:]
     m, n, s = len(basis), len(obj), Fraction(s)
     p, q = s.numerator, s.denominator
@@ -227,7 +283,7 @@ def continue_along(out: LPOutcome, s) -> LPOutcome:
     while True:
         leave = min((i for i in zero if tab[i][-2] < 0), key=basis.__getitem__, default=None)
         if leave is None:
-            return _optimal((tab, dens, basis, given, given_dens, obj, sense), s)
+            return _optimal((tab, dens, basis, given, given_dens, obj, sense, cols), s)
         row, rc, enter = tab[leave], tab[m], None
         for j in range(2 * n + m):
             # rc_j / -row_j against the best ratio; denominators cancel
@@ -245,7 +301,7 @@ def continue_along(out: LPOutcome, s) -> LPOutcome:
 def _optimal(tableau, s):
     """The optimal outcome of a final tableau; with a direction (s not
     None), read at b + s*d, with its basic values' line and the tableau."""
-    tab, dens, basis, given, _, obj, sense = tableau
+    tab, dens, basis, given, _, obj, sense, _ = tableau
     m, n = len(basis), len(obj)
     p, q = (0, 1) if s is None else (s.numerator, s.denominator)
     # each row's value at b + s*d; the reduced-cost row's is minus the value
@@ -271,25 +327,20 @@ def _optimal(tableau, s):
 # integer row (A, B), and every rational vector is scaled to integers by a
 # positive factor first.
 
-def _dot(row, x):
-    """Dot product of integer vectors, over the first len(x) entries of row."""
-    return sum(map(mul, row, x))
-
-
 def _check_point(ints, point):
     (x,), (den,) = int_rows([point])
     for row in ints:
-        if _dot(row, x) < row[-1] * den:
+        if int_dot(row, x) < row[-1] * den:
             raise ConsistencyError("simplex witness violates a constraint")
 
 
 def _check_ray(ints, obj, ray):
     (r,), _ = int_rows([ray])
     for row in ints:
-        if _dot(row, r) < 0:
+        if int_dot(row, r) < 0:
             raise ConsistencyError("unbounded ray leaves the feasible cone")
     (c,), _ = int_rows([obj])
-    if _dot(c, r) >= 0:
+    if int_dot(c, r) >= 0:
         raise ConsistencyError("unbounded ray does not improve the objective")
 
 

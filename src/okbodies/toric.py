@@ -243,8 +243,8 @@ def monomial_valuation(model: ToricModel, flag: ToricFlag, m, h):
 
 def lattice_point_count(poly: HPolyhedron) -> int:
     """Number of integer points of a bounded polytope, dimension <= 3
-    (a scan of the box its vertices span; a reporting utility, not part of
-    any theorem)."""
+    (a scan of the box its vertices span, each point tested by integer dot
+    products; a reporting utility, not part of any theorem)."""
     if poly.dimension > 3:
         raise DimensionTooLarge("lattice point counting is capped at dimension 3")
     vrep = enumerate_v_rep(poly)
@@ -253,4 +253,7 @@ def lattice_point_count(poly: HPolyhedron) -> int:
     if vrep.is_empty():
         return 0
     box = [range(math.ceil(min(c)), math.floor(max(c)) + 1) for c in zip(*vrep.vertices)]
-    return sum(poly.contains(pt) for pt in itertools.product(*box))
+    # the rows as integer rows (A, B), built once: A.pt >= B for a point pt
+    rows, _ = linalg.int_rows([[*a, b] for a, b in poly.constraints])
+    return sum(all(sum(map(mul, row, pt)) >= row[-1] for row in rows)
+               for pt in itertools.product(*box))

@@ -304,20 +304,26 @@ def test_support_lps_match_fourier_motzkin():
 
 @pytest.mark.parametrize("n", [8, 10, 14, 20, 30])
 def test_support_lps_per_breakpoint(monkeypatch, n):
-    # two LPs for the range, two for its end points, then one per edge and
-    # one per interior breakpoint: 2*(breakpoints) + 1, and no more
-    lps = []
-    solve = curves.solve_raw
+    # one cold solve of the lift; then two re-optimisations for the range,
+    # two for its end points, one per edge and one per interior breakpoint:
+    # 2*(breakpoints) + 1, and no more
+    calls = {"solve_raw": 0, "reoptimize": 0}
 
-    def counted(*args):
-        lps.append(args)
-        return solve(*args)
+    def counted(name):
+        original = getattr(curves, name)
 
-    monkeypatch.setattr(curves, "solve_raw", counted)
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(curves, name, call)
+
+    counted("solve_raw")
+    counted("reoptimize")
     for flag, project in (("tropical", tropical_body_projection),
                           ("arakelov", arakelov_body_projection)):
         (job,) = parse_job(json.dumps(_ladder_doc(n, flag))).parsed
-        lps.clear()
+        calls.update(solve_raw=0, reoptimize=0)
         f = project(job)
         assert len(f.breakpoints) >= 2
-        assert len(lps) == 2 * len(f.breakpoints) + 1, (flag, len(f.breakpoints))
+        assert calls == {"solve_raw": 1, "reoptimize": 2 * len(f.breakpoints) + 1}, (
+            flag, len(f.breakpoints))

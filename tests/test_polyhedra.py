@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -111,6 +112,86 @@ def test_enumerate_v_rep_invariants():
             x = [c + F(rng.randint(-8, 8), 2) for c in v.vertices[0]]
             assert v.contains(x) == p.contains(x)
     assert seen["empty"] >= 80 and seen["nonpointed"] >= 40
+
+
+def _reference_v_rep(p):
+    """enumerate_v_rep as a loop over Fractions: a rational solve and a
+    membership test per d-subset, a rational nullspace per (d-1)-subset."""
+    d = p.dimension
+    rays, work = set(), p
+    lineality = linalg.nullspace([list(a) for a, _ in p.constraints], ncols=d)
+    if lineality:
+        section = []
+        for vec in lineality:
+            vec = linalg.primitive_direction(vec)
+            for r in (vec, tuple(-v for v in vec)):
+                rays.add(r)
+                section.append((r, F(0)))
+        work = p.with_constraints(section)
+    cons = work.constraints
+    vertices = set()
+    for subset in itertools.combinations(cons, d):
+        sol = linalg.solve_square([list(a) for a, _ in subset], [b for _, b in subset])
+        if sol is not None and work.contains(sol):
+            vertices.add(tuple(sol))
+    if not vertices:
+        return VPolyhedron([], [])
+    for subset in itertools.combinations(cons, d - 1) if d else ():
+        null = linalg.nullspace([list(a) for a, _ in subset], ncols=d)
+        if len(null) != 1:
+            continue
+        r = linalg.primitive_direction(null[0])
+        for cand in (r, tuple(-v for v in r)):
+            if all(linalg.dot(a, cand) >= 0 for a, _ in cons):
+                rays.add(cand)
+    return VPolyhedron(sorted(vertices), sorted(rays))
+
+
+def _random_rational_hpolyhedron(rng, d):
+    """Rows with Fraction coefficients, some repeated exactly or scaled by a
+    positive rational, zero rows, and opposite rows (slabs, hyperplanes,
+    empty pairs); few rows leave lineality."""
+    def rat(lo, hi):
+        den = rng.choice((1, 1, 2, 3, 5))
+        return F(rng.randint(lo * den, hi * den), den)
+    rows = [([rat(-2, 2) for _ in range(d)], rat(-5, 5)) for _ in range(rng.randint(0, 5))]
+    if rows and rng.random() < 0.3:
+        a, b = rng.choice(rows)
+        k = F(rng.randint(1, 4), rng.randint(1, 3))
+        rows.append(([k * x for x in a], k * b))
+    if rows and rng.random() < 0.2:
+        rows.append(rng.choice(rows))
+    if rows and rng.random() < 0.3:
+        a, b = rows[0]
+        rows.append(([-x for x in a], -b - rat(-2, 2)))
+    if rng.random() < 0.1:
+        rows.append(([F(0)] * d, rat(-2, 1)))
+    rng.shuffle(rows)
+    return HPolyhedron(d, rows)
+
+
+def test_enumerate_v_rep_matches_the_fraction_loop():
+    rng = random.Random(17)
+    seen = {d: {"empty": 0, "rays": 0, "lineality": 0, "repeated": 0, "fractional": 0}
+            for d in range(4)}
+    for k in range(800):
+        d = k % 4
+        p = _random_rational_hpolyhedron(rng, d)
+        v = enumerate_v_rep(p)
+        ref = _reference_v_rep(p)
+        assert (v.vertices, v.rays) == (ref.vertices, ref.rays), p
+        tally = seen[d]
+        tally["empty"] += v.is_empty()
+        tally["rays"] += bool(v.rays) and not v.is_empty()
+        tally["lineality"] += bool(linalg.nullspace([list(a) for a, _ in p.constraints],
+                                                    ncols=d)) and not v.is_empty()
+        tally["repeated"] += len({linalg.primitive_direction((*a, b))
+                                  for a, b in p.constraints}) < len(p.constraints)
+        tally["fractional"] += any(x.denominator > 1 for a, b in p.constraints
+                                   for x in (*a, b))
+    for d, tally in seen.items():
+        assert all(count >= 20 for name, count in tally.items()
+                   if not (d == 0 and name in ("rays", "lineality"))), (d, tally)
 
 
 def test_vrep_equal_canonicalization():

@@ -1,11 +1,15 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from okbodies.errors import ConsistencyError
 from okbodies.linalg import int_rows
 from okbodies.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, _check_farkas,
-                              _check_point, _check_ray, continue_along, solve_raw)
+                              _check_point, _check_ray, continue_along, reoptimize,
+                              solve_raw)
 
 F = Fraction
 
@@ -305,6 +309,65 @@ def test_continuation_matches_cold_solves_on_random_lps():
 
 def _solve_at(cons, obj, sense, d, s):
     return solve_raw([(a, b + s * e) for (a, b), e in zip(cons, d)], obj, sense)
+
+
+# Lexicographic re-optimisation: from a zero-objective solve the face is
+# the whole system, so a re-optimisation must match a cold solve; on the
+# optimal face of an objective it must match a cold solve with that
+# objective pinned to its optimum by two rows.
+
+def _assert_certified(out, cons, obj, sense):
+    cost = obj if sense == "min" else [-c for c in obj]
+    if out.status == OPTIMAL:
+        assert all(_dot(a, out.witness) >= b for a, b in cons)
+        assert _dot(obj, out.witness) == out.value
+    else:
+        assert out.status == UNBOUNDED
+        assert all(_dot(a, out.certificate) >= 0 for a, _ in cons)
+        assert _dot(cost, out.certificate) < 0
+
+
+def test_reoptimize_matches_cold_solves_on_random_lps():
+    # up to three objectives in turn on each seeded LP: each re-optimised
+    # outcome equals, in status and value, the cold solve of the system
+    # with every earlier objective pinned to its optimum, and its
+    # certificate holds on that system
+    rng = random.Random(1611)
+    seen = Counter()
+    for _ in range(400):
+        cons, obj, sense = _random_rational_lp(rng)
+        n = len(obj)
+        # sparse objectives leave faces larger than a vertex, unbounded ones
+        # included
+        obj = [c if rng.random() < 0.5 else F(0) for c in obj]
+        out = solve_raw(cons, [0] * n, "min", [0] * len(cons))
+        if out.status == INFEASIBLE:
+            assert solve_raw(cons, obj, sense).status == INFEASIBLE
+            seen["infeasible"] += 1
+            continue
+        face = list(cons)
+        for level in range(3):
+            if level:
+                obj = [_rat(rng, -2, 2) if rng.random() < 0.5 else F(0) for _ in range(n)]
+                sense = rng.choice(("min", "max"))
+            again = reoptimize(out, obj, sense)
+            cold = solve_raw(face, obj, sense)
+            assert (again.status, again.value) == (cold.status, cold.value)
+            _assert_certified(again, face, obj, sense)
+            seen[level, again.status] += 1
+            if again.status != OPTIMAL:
+                break
+            face += [(obj, again.value), ([-c for c in obj], -again.value)]
+            out = again
+    assert seen == {"infeasible": 62, (0, OPTIMAL): 261, (0, UNBOUNDED): 77,
+                    (1, OPTIMAL): 233, (1, UNBOUNDED): 28,
+                    (2, OPTIMAL): 221, (2, UNBOUNDED): 12}
+
+
+def test_reoptimize_needs_a_kept_tableau():
+    out = solve_raw([([1], 1)], [1], "min")
+    with pytest.raises(ValueError):
+        reoptimize(out, [1], "max")
 
 
 # The certificate checks read the constraints as integer rows; their

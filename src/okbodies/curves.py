@@ -24,7 +24,9 @@ Three routes compute the boundary function, and they must agree exactly:
       principal pivot of one integer tableau per index entering the
       active set J.
   parametric LP (the default cross-check of `compute_body`): optimal-basis
-      continuation over the same family, with its own feasible range.
+      continuation over the same family from one cold solve, which also
+      finds where the family is feasible: the continuation ends where a
+      Farkas certificate shows that no larger t is.
   support LPs (the oracle of `cross_verify` and `verify`): one lift
       {(phi, s) : phi in L+(Lam - s*D), s >= 0} in |V| + 1 coordinates,
       and its image in (phi(v), s).  Along D = Lam1 the image is the
@@ -297,7 +299,7 @@ def _support_image(job: CurveBodyJob) -> VPolyhedron:
     rows, rhs = _system_rows(job)
     lift = [((*a, -d), b) for a, d, b in zip(rows, [*direction] + [0] * n, rhs)]
     lift.append(((0,) * n + (1,), 0))
-    base = solve_raw(lift, [0] * (n + 1), "min", [0] * len(lift))
+    base = solve_raw(lift, [0] * (n + 1), "min")
     if base.status == INFEASIBLE:
         return VPolyhedron([])
 
@@ -419,9 +421,23 @@ def compute_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
         except EmptySystemError as exc:
             check = f"an empty system ({exc})"
         if check != body:
-            raise ConsistencyError(
-                f"least-element and parametric routes disagree: {body} vs {check}")
+            raise ConsistencyError("least-element and parametric routes disagree: "
+                                   + _disagreement(body, check))
     return body
+
+
+def _disagreement(body: NOBody2D, check) -> str:
+    """Where the parametric route's body `check`, or the text naming its
+    empty system, first differs from the least-element route's `body`."""
+    if isinstance(check, str):
+        return f"the parametric route finds {check}"
+    if check.kind != body.kind:
+        return f"kinds {body.kind} vs {check.kind}"
+    name = "lower" if body.kind == "overgraph" else "upper"
+    t = _first_disagreement(getattr(body, name), getattr(check, name))
+    if t is not None:
+        return f"first disagreement at t = {t}"
+    return f"different warnings: {body.warnings} vs {check.warnings}"
 
 
 def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:

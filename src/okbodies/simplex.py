@@ -15,23 +15,23 @@ The tableau rows, reduced-cost row included, are integer rows from
 entering test reads the sign of a numerator and the ratio test compares
 by cross-multiplication.  Fractions are built only for the outcome.
 
-Right-hand-side sensitivity: a caller may pass a direction d, one
-rational per constraint.  It rides in the tableau as one extra column
-between the artificial block and the rhs, never a candidate to enter and
-never read by the ratio test, so the pivots are the same with or without
-it.  At the optimum that column holds B^-1 d, the rate of each basic
-variable as b moves to b + s*d, and the reduced-cost row holds the
-objective's rate c_B.B^-1 d.  `continue_along` moves such an outcome
+Right-hand-side sensitivity: every tableau carries a direction d, one
+rational per constraint, all zeros unless the caller passes one.  It
+rides as one extra column between the artificial block and the rhs,
+never a candidate to enter and never read by the ratio test, so the
+pivots do not depend on it.  At the optimum that column holds B^-1 d,
+the rate of each basic variable as b moves to b + s*d, and the
+reduced-cost row holds the objective's rate c_B.B^-1 d.  `continue_along` moves such an outcome
 along d by dual simplex pivots on its final tableau (Lemke 1954), with
 the rhs column left at the solve point: a pivot on a row whose value at
 b + s*d is 0 moves no value there.
 
 Lexicographic re-optimisation: `reoptimize` optimises a new objective
-over the optimal points of an outcome that kept its tableau (a solve with
-a direction, a zero one included, or another re-optimisation).  It prices
-the new cost row on a copy of the final tableau and runs phase 2 with
-only the outcome's own candidate columns whose reduced cost is 0 allowed
-to enter.  The others stay nonbasic at 0, which holds every visited point
+over the optimal points of any optimal outcome (of a solve, a
+continuation or another re-optimisation), each of which keeps its final
+tableau.  It prices the new cost row on a copy of that tableau and runs
+phase 2 with only the outcome's own candidate columns whose reduced cost
+is 0 allowed to enter.  The others stay nonbasic at 0, which holds every visited point
 on the optimal face, and the artificials never enter.  A reduced cost set
 positive would not block a column, since each pivot rewrites that row, so
 the face is kept by the entering scan alone.  From a zero-objective solve
@@ -67,14 +67,14 @@ class LPOutcome:
     certificate: Optional[Tuple[Fraction, ...]] = None
     # standard-form basis (column indices), for parametric continuation
     basis: Optional[Tuple[int, ...]] = None
-    # optimal with a rhs direction d: (value, rate along d) of each basic
+    # optimal: (value, rate along the rhs direction d) of each basic
     # variable in `basis` order, the optimal value as the tableau's
     # reduced-cost row holds it, and that value's rate along d
     basic: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
     tableau_value: Optional[Fraction] = None
     slope: Optional[Fraction] = None
-    # optimal with a rhs direction: the final tableau and the columns that
-    # may enter, for `continue_along` and `reoptimize`
+    # optimal: the final tableau and the columns that may enter, for
+    # `continue_along` and `reoptimize`
     tableau: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
@@ -142,10 +142,10 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
               direction: Optional[Sequence[Fraction]] = None) -> LPOutcome:
     """Solve min/max objective.x over {x : a.x >= b for (a, b) in constraints}.
 
-    Coefficients are ints or Fractions.  With a `direction` d (one entry
-    per constraint), an optimal outcome also carries `basic`,
-    `tableau_value` and `slope`: the optimal basis's value line as b moves
-    along d."""
+    Coefficients are ints or Fractions.  An optimal outcome also carries
+    `basic`, `tableau_value` and `slope`: the optimal basis's value line as
+    b moves along `direction` d (one entry per constraint; all zeros when
+    it is absent or empty), and its final tableau."""
     nvars = len(objective)
     for a, _ in constraints:
         if len(a) != nvars:
@@ -156,28 +156,23 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     m = len(rows)
     n = nvars
     nstruct = 2 * n + m
-    if direction is not None and len(direction) != m:
+    direction = direction or [0] * m
+    if len(direction) != m:
         raise DimensionMismatch(f"direction has {len(direction)} entries, expected {m}")
 
-    if m == 0:
-        # unconstrained: optimal only for zero objective; for "max" the ray
-        # improves the internal min, equivalently the max
-        if all(c == 0 for c in obj):
-            line = (None, None, None) if direction is None else ((), _ZERO, _ZERO)
-            return LPOutcome(OPTIMAL, _ZERO, (_ZERO,) * n, None, (), *line)
+    if m == 0 and any(obj):
+        # unconstrained and a nonzero objective; for "max" the ray improves
+        # the internal min, equivalently the max
         ray = tuple(Fraction(0) if c == 0 else (Fraction(-1) if c > 0 else Fraction(1))
                     for c in obj)
         return LPOutcome(UNBOUNDED, certificate=ray)
 
     # phase 1 tableau: rows scaled to nonnegative rhs, one artificial per row,
-    # the direction column if any, then the reduced-cost row of the
-    # artificial objective
+    # the direction column, then the reduced-cost row of the artificial
+    # objective
     sigma = [1 if b >= 0 else -1 for _, b in rows]
-    if direction is None:
-        tab, dens = int_rows([[*a, b] for a, b in rows])
-    else:
-        tab, dens = int_rows([[*a, d, b] for (a, b), d in zip(rows, direction)])
-    # the given rows as integer rows (a, [d,] b), kept for the certificate
+    tab, dens = int_rows([[*a, d, b] for (a, b), d in zip(rows, direction)])
+    # the given rows as integer rows (a, d, b), kept for the certificate
     # checks; the rewrite below replaces the rows of `tab`, never mutates them
     given, given_dens = tab[:], dens[:]
     for i, s in enumerate(sigma):
@@ -188,8 +183,8 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         row[nstruct + i] = d
         tab[i] = row
     basis = [nstruct + i for i in range(m)]
-    tail = [0] if direction is None else [0, 0]  # costs of the last columns
-    rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + tail)
+    # the direction column and the rhs cost 0
+    rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + [0, 0])
     tab.append(rc)
     dens.append(rden)
 
@@ -215,8 +210,7 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
 
     # phase 2: real costs, only structural columns enter; the rhs entry of
     # the reduced-cost row is minus the objective value
-    tab[m], dens[m] = _price(tab, dens, basis,
-                             obj + [-c for c in obj] + [0] * (2 * m) + tail)
+    tab[m], dens[m] = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m + 2))
     cols = range(nstruct)
     entering = _run_simplex(tab, dens, basis, cols)
 
@@ -225,21 +219,20 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         _check_ray(given, obj, ray)
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
-    return _optimal((tab, dens, basis, given, given_dens, obj, sense, cols),
-                    None if direction is None else _ZERO)
+    return _optimal((tab, dens, basis, given, given_dens, obj, sense, cols), _ZERO)
 
 
 def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
                sense: str = "min") -> LPOutcome:
     """Optimise `objective` over the optimal points of `out`, an optimal
-    outcome of `solve_raw` with a direction or of `reoptimize` (so a chain
+    outcome of `solve_raw`, `continue_along` or `reoptimize` (so a chain
     of calls is lexicographic).  Phase 2 on a copy of out's final tableau,
     by Bland's rule over the columns that could enter out and have reduced
     cost 0 in its cost row.  OPTIMAL with a witness that must keep out's
     value, or UNBOUNDED with a ray that must keep it too; each certificate
     is checked as `solve_raw` checks its own."""
-    if out.tableau is None:
-        raise ValueError("reoptimize needs an optimal outcome that kept its tableau")
+    if out.status != OPTIMAL:
+        raise ValueError(f"reoptimize needs an optimal outcome, got {out.status}")
     tab, dens, basis, given, given_dens, old, _, cols = out.tableau
     n = len(old)
     if len(objective) != n:
@@ -265,15 +258,16 @@ def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
 
 
 def continue_along(out: LPOutcome, s) -> LPOutcome:
-    """Move an optimal outcome of a solve with rhs direction d (or of a
-    continuation) to b + s*d, b being that solve's rhs and the basis
-    feasible there.  Dual pivots on a copy of the tableau, by Bland's rule
-    on the dual, make the basis feasible on b + (s + eps)*d for small
-    eps > 0: among rows whose value is 0 at s and whose rate is negative,
-    the lowest basic column leaves; the structural column j with the least
-    rc_j / -row_j over row_j < 0 enters, ties to the lowest.  INFEASIBLE
-    when none can: that row's slack entries are a Farkas vector y of d
-    (y.A = 0, y.d > 0) with y.(b + s*d) = 0."""
+    """Move an optimal outcome (of a solve, a continuation or a
+    re-optimisation) along its solve's rhs direction d to b + s*d, b
+    being that solve's rhs and the basis feasible there.  Dual pivots on
+    a copy of the tableau, by Bland's rule on the dual, make the basis
+    feasible on b + (s + eps)*d for small eps > 0: among rows whose value
+    is 0 at s and whose rate is negative, the lowest basic column leaves;
+    the structural column j with the least rc_j / -row_j over row_j < 0
+    enters, ties to the lowest.  INFEASIBLE when none can: that row's
+    slack entries are a Farkas vector y of d (y.A = 0, y.d > 0) with
+    y.(b + s*d) = 0."""
     tab, dens, basis, given, given_dens, obj, sense, cols = out.tableau
     tab, dens, basis = tab[:], dens[:], basis[:]
     m, n, s = len(basis), len(obj), Fraction(s)
@@ -299,22 +293,20 @@ def continue_along(out: LPOutcome, s) -> LPOutcome:
 
 
 def _optimal(tableau, s):
-    """The optimal outcome of a final tableau; with a direction (s not
-    None), read at b + s*d, with its basic values' line and the tableau."""
+    """The optimal outcome of a final tableau read at b + s*d, with its
+    basic values' line and the tableau."""
     tab, dens, basis, given, _, obj, sense, _ = tableau
     m, n = len(basis), len(obj)
-    p, q = (0, 1) if s is None else (s.numerator, s.denominator)
+    p, q = s.numerator, s.denominator
     # each row's value at b + s*d; the reduced-cost row's is minus the value
     vals = [Fraction(row[-1] * q + p * row[-2], den * q) for row, den in zip(tab, dens)]
     x = dict(zip(basis, vals))
     point = [x.get(k, _ZERO) - x.get(n + k, _ZERO) for k in range(n)]
     value = sum((c * v for c, v in zip(obj, point)), _ZERO)
-    # the given rows (a, [d,] b) at b + s*d, as integer rows (q*a, q*b + p*d)
+    # the given rows (a, d, b) at b + s*d, as integer rows (q*a, q*b + p*d)
     _check_point([[q * v for v in g[:n]] + [q * g[-1] + p * g[-2]] for g in given]
                  if p else given, point)
     sign = -1 if sense == "max" else 1
-    if s is None:
-        return LPOutcome(OPTIMAL, sign * value, tuple(point), None, tuple(sorted(basis)))
     # a tuple from a list, not a generator: see linalg.int_rows
     basic = tuple([(vals[i], Fraction(tab[i][-2], dens[i]))
                    for i in sorted(range(m), key=basis.__getitem__)])
@@ -322,8 +314,8 @@ def _optimal(tableau, s):
                      -sign * vals[m], Fraction(-sign * tab[m][-2], dens[m]), tableau)
 
 
-# The checks run on the given rows as integer rows (numerators of a, [d,]
-# b over a positive row denominator), so a.x >= b reads A.x >= B for the
+# The checks run on the given rows as integer rows (numerators of a, d, b
+# over a positive row denominator), so a.x >= b reads A.x >= B for the
 # integer row (A, B), and every rational vector is scaled to integers by a
 # positive factor first.
 

@@ -259,6 +259,26 @@ def test_internal_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
     assert not out.exists()
 
 
+def test_cross_check_names_the_first_disagreement(tmp_path, monkeypatch, capsys):
+    # the parametric route's body with its breakpoint at t = 2 moved down
+    parametric = curves._parametric_body
+
+    def moved(job):
+        body = parametric(job)
+        (t0, v0), (t1, v1), rest = body.lower.breakpoints
+        lower = PiecewiseLinearFunction(((t0, v0), (t1, v1 - 1), rest), shape="convex")
+        return curves._overgraph(lower)
+
+    monkeypatch.setattr(curves, "_parametric_body", moved)
+    out = tmp_path / "r.json"
+    assert run(["curve-body", "tropical", "--input", jobpath("quartic-tropical.json"),
+                "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "least-element and parametric routes disagree: first disagreement at t = 2\n" in err
+    assert "PLF" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", [
     {"target": "curve-body"},
     {"target": "rank"},

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -15,6 +16,7 @@ from okbodies.errors import EmptySystemError, NonPositiveDegree, OkbodiesError
 from okbodies.graphs import Divisor, Graph
 from okbodies.jobs import parse_job
 from okbodies.linsys import LinearSystemSpec, build_system, minimal_element
+from okbodies.plf import PiecewiseLinearFunction
 from okbodies.polyhedra import HPolyhedron, enumerate_v_rep, project_out
 from okbodies.sampling import random_divisor, random_graph, random_rational
 from tests.test_cli import _ladder_doc
@@ -112,6 +114,22 @@ def test_arakelov_shifted_start_warning():
     body = compute_body(job)
     assert body.upper.domain_start == 1
     assert body.warnings and "t = 1" in body.warnings[0]
+
+
+def test_route_disagreement_is_named():
+    # what compute_body reports when the parametric route's body differs
+    g = quartic()
+    overgraph = compute_body(CurveBodyJob(g, quartic_lam(g),
+                                          TropicalFlag(Divisor(g, [1, 0, 0, 0]), "P")))
+    band = compute_body(CurveBodyJob(g, quartic_lam(g), ArakelovFlag("P")))
+    assert curves._disagreement(band, overgraph) == "kinds band vs overgraph"
+    assert curves._disagreement(band, "an empty system (x)") == (
+        "the parametric route finds an empty system (x)")
+    late = dataclasses.replace(band, upper=PiecewiseLinearFunction(
+        ((F(1, 4), F(3)), (F(1, 2), F(4))), tail_slope=F(0), shape="concave"))
+    assert curves._disagreement(band, late) == "first disagreement at t = 0"
+    warned = dataclasses.replace(band, warnings=("w",))
+    assert curves._disagreement(band, warned) == "different warnings: () vs ('w',)"
 
 
 def test_flag_validation():

@@ -160,16 +160,30 @@ def solves(monkeypatch):
     return calls
 
 
-def test_three_cold_solves_per_family(solves):
-    # two for the feasible range and one at its left end; every breakpoint
-    # after that, and a degenerate start, is a continuation of that tableau
+def test_one_cold_solve_per_family(solves):
+    # one at t_min, which the family is feasible at; every breakpoint, a
+    # degenerate start and the right end are continuations of that tableau
     res = parametric_value_function([[F(1)], [F(1)], [F(1)]], [F(0), F(2), F(-3)],
                                     [F(1), F(-1), F(2)], [F(1)], "min", (F(0), F(4)))
     assert res.function.breakpoints == ((0, 2), (1, 1), (3, 3), (4, 5))
-    assert len(solves) == 3
+    assert len(solves) == 1
     for flag in ("tropical", "arakelov"):
         (job,) = parse_job(json.dumps(_ladder_doc(10, flag))).parsed
         solves.clear()
         f = curves._parametric_body(job)
-        assert len(solves) == 3, flag
+        assert len(solves) == 1, flag
         assert f == curves.combinatorial_body(job)
+    # 0.x >= 1 - t and 0.x >= t - 1, x >= 0: feasible at t = 1 only.  From
+    # t_min = 0, the least feasible t is an LP over the lift and a second
+    # cold solve starts there; the continuation certifies the right end
+    A, b0, b1 = [[F(0)], [F(0)], [F(1)]], [F(1), F(-1), F(0)], [F(-1), F(1), F(0)]
+    solves.clear()
+    res = parametric_value_function(A, b0, b1, [F(1)], "min", (F(0), F(5)))
+    assert (res.feasible_start, res.feasible_end) == (1, 1)
+    assert res.function.breakpoints == ((1, 0),)
+    assert len(solves) == 3
+    solves.clear()
+    res = parametric_value_function(A, b0, b1, [F(1)], "min", (F(1), F(5)))
+    assert (res.feasible_start, res.feasible_end) == (1, 1)
+    assert res.function.breakpoints == ((1, 0),)
+    assert len(solves) == 1

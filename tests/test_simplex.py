@@ -365,9 +365,21 @@ def test_reoptimize_matches_cold_solves_on_random_lps():
 
 
 def test_reoptimize_needs_a_kept_tableau():
-    out = solve_raw([([1], 1)], [1], "min")
-    with pytest.raises(ValueError):
-        reoptimize(out, [1], "max")
+    # every optimal outcome keeps its tableau, a solve without a direction
+    # included: re-optimising it matches a cold solve with the first
+    # objective pinned to its optimum
+    out = solve_raw([([1, 0], 1), ([0, 1], 0), ([-1, -1], -3)], [1, 0], "min")
+    again = reoptimize(out, [0, 1], "max")
+    cold = solve_raw([([1, 0], 1), ([0, 1], 0), ([-1, -1], -3), ([1, 0], 1), ([-1, 0], -1)],
+                     [0, 1], "max")
+    assert (again.status, again.value, again.witness) == (OPTIMAL, 2, (1, 2))
+    assert (again.status, again.value, again.witness) == (cold.status, cold.value, cold.witness)
+    # infeasible and unbounded outcomes keep none
+    for out in (solve_raw([([1], 1), ([-1], 0)], [1], "min"),
+                solve_raw([([1], 0)], [-1], "min")):
+        assert out.status in (INFEASIBLE, UNBOUNDED)
+        with pytest.raises(ValueError):
+            reoptimize(out, [1], "max")
 
 
 # The certificate checks read the constraints as integer rows; their

@@ -71,8 +71,8 @@ from .simplex import INFEASIBLE, OPTIMAL, reoptimize, solve_raw
 # both the breakpoints and the pivots per re-optimisation grow with |V|.
 # On the ladder instance (`tests/test_cli._ladder_doc`: C_n plus n//2
 # chords, Python 3.11 on a 2-CPU VM), over three vertex orders and either
-# flag, the projection took 0.09-0.10 s at n = 20, 0.45-0.65 s at n = 30
-# and 1.8-2.5 s at n = 40.
+# flag, the projection took 0.07-0.09 s at n = 20, 0.32-0.45 s at n = 30
+# and 1.35-1.64 s at n = 40.
 VERIFY_MAX_VERTICES = 30
 
 # A tropical job has deg Lam > 0, and the Laplacian maps onto the rational

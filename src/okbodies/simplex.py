@@ -15,29 +15,53 @@ The tableau rows, reduced-cost row included, are integer rows from
 entering test reads the sign of a numerator and the ratio test compares
 by cross-multiplication.  Fractions are built only for the outcome.
 
+Tableau layout: phase 1 works on the columns x+ (n), x- (n), s (m), one
+artificial per row (m), the direction d and the rhs, 2n + 2m + 2 entries
+a row.  Once phase 1 has read its Farkas vector or driven every
+artificial out of the basis, `solve_raw` drops the artificial block and
+reduces each row by its gcd, so every tableau an outcome keeps is
+2n + m + 2 wide.  This changes no pivot:
+  - no artificial enters again: phase 2, `continue_along` and
+    `reoptimize` offer only x+, x- and s;
+  - in every constraint row artificial column i is -sigma_i times slack
+    column i (sigma_i the sign the row was scaled by), so the block holds
+    nothing the slacks do not, and `continue_along` reads its Farkas
+    vector from the slack block;
+  - every entering and ratio test compares entries within one row, so
+    scaling a row by a positive factor changes none of them.
+
 Right-hand-side sensitivity: every tableau carries a direction d, one
 rational per constraint, all zeros unless the caller passes one.  It
-rides as one extra column between the artificial block and the rhs,
-never a candidate to enter and never read by the ratio test, so the
-pivots do not depend on it.  At the optimum that column holds B^-1 d,
-the rate of each basic variable as b moves to b + s*d, and the
-reduced-cost row holds the objective's rate c_B.B^-1 d.  `continue_along` moves such an outcome
-along d by dual simplex pivots on its final tableau (Lemke 1954), with
-the rhs column left at the solve point: a pivot on a row whose value at
-b + s*d is 0 moves no value there.
+rides as one extra column before the rhs, never a candidate to enter and
+never read by the ratio test, so the pivots do not depend on it.  At the
+optimum that column holds B^-1 d, the rate of each basic variable as b
+moves to b + s*d, and the reduced-cost row holds the objective's rate
+c_B.B^-1 d.  `continue_along` moves such an outcome along d by dual
+simplex pivots on its final tableau (Lemke 1954), with the rhs column
+left at the solve point: a pivot on a row whose value at b + s*d is 0
+moves no value there.
+
+An outcome costs what its callers read.  The witness of an optimal one
+is read in integers: the structural basic rows' numerators at b + s*d
+over one denominator, checked against the given rows as integer rows;
+Fractions are built only for the witness and the value.  The basic
+values' line along d (`basic`), the value as the reduced-cost row holds
+it (`tableau_value`) and its rate (`slope`) are computed on request from
+the kept tableau and the point s it is read at; only the parametric
+route reads them.
 
 Lexicographic re-optimisation: `reoptimize` optimises a new objective
-over the optimal points of any optimal outcome (of a solve, a
-continuation or another re-optimisation), each of which keeps its final
-tableau.  It prices the new cost row on a copy of that tableau and runs
-phase 2 with only the outcome's own candidate columns whose reduced cost
-is 0 allowed to enter.  The others stay nonbasic at 0, which holds every visited point
-on the optimal face, and the artificials never enter.  A reduced cost set
-positive would not block a column, since each pivot rewrites that row, so
-the face is kept by the entering scan alone.  From a zero-objective solve
-every structural column has reduced cost 0: the face is the whole system,
-and the re-optimisation is a phase 2 from the phase-1 basis.  The
-standard-form layout stays private to this module.
+over the optimal points of any optimal outcome read at its solve's rhs
+(s = 0), each of which keeps its final tableau.  It prices the new cost
+row on a copy of that tableau and runs phase 2 with only the outcome's
+own candidate columns whose reduced cost is 0 allowed to enter.  The
+others stay nonbasic at 0, which holds every visited point on the
+optimal face.  A reduced cost set positive would not block a column,
+since each pivot rewrites that row, so the face is kept by the entering
+scan alone.  From a zero-objective solve every structural column has
+reduced cost 0: the face is the whole system, and the re-optimisation is
+a phase 2 from the phase-1 basis.  The standard-form layout stays
+private to this module.
 
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
 heuristics.  Intended for dimensions <= 10 and a few hundred constraints.
@@ -47,8 +71,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, DimensionMismatch
 from .linalg import dot, eliminate, int_dot, int_rows, pivot
@@ -59,6 +83,25 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
+class _Tableau(NamedTuple):
+    """The final tableau an optimal outcome keeps."""
+    # integer rows over x+, x-, s, d and the rhs, the reduced-cost row
+    # last, with their denominators, and the basis of the constraint rows
+    rows: List[List[int]]
+    dens: List[int]
+    basis: List[int]
+    # the given rows (a, d, b) as integer rows, for the certificate checks
+    given: List[List[int]]
+    given_dens: List[int]
+    # the internal (minimised) cost as numerators over cost_den, and its
+    # sign: -1 when it is a maximisation's negated objective
+    cost: List[int]
+    cost_den: int
+    sign: int
+    # the columns that may enter
+    cols: Sequence[int]
+
+
 @dataclass(frozen=True)
 class LPOutcome:
     status: str
@@ -67,15 +110,40 @@ class LPOutcome:
     certificate: Optional[Tuple[Fraction, ...]] = None
     # standard-form basis (column indices), for parametric continuation
     basis: Optional[Tuple[int, ...]] = None
-    # optimal: (value, rate along the rhs direction d) of each basic
-    # variable in `basis` order, the optimal value as the tableau's
-    # reduced-cost row holds it, and that value's rate along d
-    basic: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
-    tableau_value: Optional[Fraction] = None
-    slope: Optional[Fraction] = None
-    # optimal: the final tableau and the columns that may enter, for
-    # `continue_along` and `reoptimize`
-    tableau: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # optimal: the final tableau, for `continue_along`, `reoptimize` and
+    # the properties below, and the point s at which it is read, b + s*d
+    tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
+    s: Optional[Fraction] = None
+
+    @property
+    def basic(self) -> Optional[Tuple[Tuple[Fraction, Fraction], ...]]:
+        """optimal: (value at s, rate along d) of each basic variable, in
+        `basis` order."""
+        if self.tableau is None:
+            return None
+        tab, dens, basis = self.tableau.rows, self.tableau.dens, self.tableau.basis
+        p, q = self.s.numerator, self.s.denominator
+        # a tuple from a list, not a generator: see linalg.int_rows
+        return tuple([(Fraction(tab[i][-1] * q + p * tab[i][-2], dens[i] * q),
+                       Fraction(tab[i][-2], dens[i]))
+                      for i in sorted(range(len(basis)), key=basis.__getitem__)])
+
+    @property
+    def tableau_value(self) -> Optional[Fraction]:
+        """optimal: the value at s as the reduced-cost row holds it (minus
+        the internal value in its rhs entry)."""
+        if self.tableau is None:
+            return None
+        rc, den = self.tableau.rows[-1], self.tableau.dens[-1]
+        p, q = self.s.numerator, self.s.denominator
+        return Fraction(-self.tableau.sign * (rc[-1] * q + p * rc[-2]), den * q)
+
+    @property
+    def slope(self) -> Optional[Fraction]:
+        """optimal: the value's rate along d."""
+        if self.tableau is None:
+            return None
+        return Fraction(-self.tableau.sign * self.tableau.rows[-1][-2], self.tableau.dens[-1])
 
 
 def _run_simplex(rows, dens, basis, cols):
@@ -106,10 +174,9 @@ def _run_simplex(rows, dens, basis, cols):
         rcost = rows[m]
 
 
-def _price(rows, dens, basis, cost):
-    """The reduced-cost row of `cost` (a rational row as long as the
-    tableau's): the cost row with every basic column eliminated."""
-    (rc,), (den,) = int_rows([cost])
+def _price(rows, dens, basis, rc, den):
+    """The reduced-cost row of the integer cost row (rc, den), as long as
+    the tableau's rows: the cost row with every basic column eliminated."""
     for i, k in enumerate(basis):
         if rc[k]:
             support = [j for j, v in enumerate(rows[i]) if v]
@@ -118,12 +185,13 @@ def _price(rows, dens, basis, cost):
 
 
 def _cost(objective, sense):
-    """The objective as the internal minimisation's cost vector."""
-    if sense == "max":
-        return [-c for c in objective]
-    if sense != "min":
+    """The objective as the internal minimisation's cost vector, as
+    numerators over one denominator, and its sign."""
+    if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    return list(objective)
+    sign = -1 if sense == "max" else 1
+    (cost,), (den,) = int_rows([[sign * c for c in objective]])
+    return cost, den, sign
 
 
 def _ray(tab, dens, basis, entering, n):
@@ -142,16 +210,16 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
               direction: Optional[Sequence[Fraction]] = None) -> LPOutcome:
     """Solve min/max objective.x over {x : a.x >= b for (a, b) in constraints}.
 
-    Coefficients are ints or Fractions.  An optimal outcome also carries
-    `basic`, `tableau_value` and `slope`: the optimal basis's value line as
-    b moves along `direction` d (one entry per constraint; all zeros when
-    it is absent or empty), and its final tableau."""
+    Coefficients are ints or Fractions.  An optimal outcome also keeps its
+    final tableau, from which `basic`, `tableau_value` and `slope` read the
+    optimal basis's value line as b moves along `direction` d (one entry
+    per constraint; all zeros when it is absent or empty)."""
     nvars = len(objective)
     for a, _ in constraints:
         if len(a) != nvars:
             raise DimensionMismatch(
                 f"constraint has {len(a)} coefficients, expected {nvars}")
-    obj = _cost(objective, sense)
+    cost, cost_den, sign = _cost(objective, sense)
     rows = constraints
     m = len(rows)
     n = nvars
@@ -160,11 +228,11 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     if len(direction) != m:
         raise DimensionMismatch(f"direction has {len(direction)} entries, expected {m}")
 
-    if m == 0 and any(obj):
+    if m == 0 and any(cost):
         # unconstrained and a nonzero objective; for "max" the ray improves
         # the internal min, equivalently the max
         ray = tuple(Fraction(0) if c == 0 else (Fraction(-1) if c > 0 else Fraction(1))
-                    for c in obj)
+                    for c in cost)
         return LPOutcome(UNBOUNDED, certificate=ray)
 
     # phase 1 tableau: rows scaled to nonnegative rhs, one artificial per row,
@@ -184,7 +252,7 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         tab[i] = row
     basis = [nstruct + i for i in range(m)]
     # the direction column and the rhs cost 0
-    rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + [0, 0])
+    rc, rden = _price(tab, dens, basis, [0] * nstruct + [1] * m + [0, 0], 1)
     tab.append(rc)
     dens.append(rden)
 
@@ -208,53 +276,74 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
             pivot(tab, dens, i, j)
             basis[i] = j
 
+    # drop the artificial block (see the module docstring), each row
+    # reduced by its gcd
+    for i in range(m):
+        row = tab[i][:nstruct] + tab[i][-2:]
+        g = gcd(*row, dens[i])
+        if g != 1:
+            row = [v // g for v in row]
+        tab[i], dens[i] = row, dens[i] // g
+
     # phase 2: real costs, only structural columns enter; the rhs entry of
     # the reduced-cost row is minus the objective value
-    tab[m], dens[m] = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m + 2))
+    tab[m], dens[m] = _price(tab, dens, basis, cost + [-c for c in cost] + [0] * (m + 2),
+                             cost_den)
     cols = range(nstruct)
     entering = _run_simplex(tab, dens, basis, cols)
 
     if entering is not None:
         ray = _ray(tab, dens, basis, entering, n)
-        _check_ray(given, obj, ray)
+        _check_ray(given, cost, ray)
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
-    return _optimal((tab, dens, basis, given, given_dens, obj, sense, cols), _ZERO)
+    final = _Tableau(tab, dens, basis, given, given_dens, cost, cost_den, sign, cols)
+    return _optimal(final, _ZERO, *_point(final, _ZERO))
 
 
 def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
                sense: str = "min") -> LPOutcome:
     """Optimise `objective` over the optimal points of `out`, an optimal
-    outcome of `solve_raw`, `continue_along` or `reoptimize` (so a chain
-    of calls is lexicographic).  Phase 2 on a copy of out's final tableau,
+    outcome read at its solve's rhs: of `solve_raw`, of `reoptimize` (so a
+    chain of calls is lexicographic) or of `continue_along` at s = 0.  Any
+    other raises ValueError, since the ratio tests read the rhs column,
+    which holds the solve's b.  Phase 2 on a copy of out's final tableau,
     by Bland's rule over the columns that could enter out and have reduced
     cost 0 in its cost row.  OPTIMAL with a witness that must keep out's
     value, or UNBOUNDED with a ray that must keep it too; each certificate
     is checked as `solve_raw` checks its own."""
     if out.status != OPTIMAL:
         raise ValueError(f"reoptimize needs an optimal outcome, got {out.status}")
-    tab, dens, basis, given, given_dens, old, _, cols = out.tableau
-    n = len(old)
+    if out.s:
+        raise ValueError(f"reoptimize needs an outcome read at the solve's rhs, "
+                         f"not at s = {out.s}")
+    old = out.tableau
+    n = len(old.cost)
     if len(objective) != n:
         raise DimensionMismatch(f"objective has {len(objective)} entries, expected {n}")
-    obj = _cost(objective, sense)
-    tab, dens, basis = tab[:], dens[:], basis[:]
+    cost, cost_den, sign = _cost(objective, sense)
+    tab, dens, basis = old.rows[:], old.dens[:], old.basis[:]
     m = len(basis)
     rc = tab[m]
-    cols = [j for j in cols if rc[j] == 0]
-    # costs of the slack, artificial and direction columns and the rhs are 0
-    tab[m], dens[m] = _price(tab, dens, basis, obj + [-c for c in obj] + [0] * (2 * m + 2))
+    cols = [j for j in old.cols if rc[j] == 0]
+    # costs of the slack and direction columns and the rhs are 0
+    tab[m], dens[m] = _price(tab, dens, basis, cost + [-c for c in cost] + [0] * (m + 2),
+                             cost_den)
     entering = _run_simplex(tab, dens, basis, cols)
     if entering is not None:
         ray = _ray(tab, dens, basis, entering, n)
-        _check_ray(given, obj, ray)
-        if dot(old, ray) != 0:
+        _check_ray(old.given, cost, ray)
+        if dot(old.cost, ray) != 0:
             raise ConsistencyError("re-optimised ray leaves the optimal face")
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
-    new = _optimal((tab, dens, basis, given, given_dens, obj, sense, cols), _ZERO)
-    if dot(old, new.witness) != dot(old, out.witness):
+    new = old._replace(rows=tab, dens=dens, basis=basis, cost=cost, cost_den=cost_den,
+                       sign=sign, cols=cols)
+    x, den = _point(new, _ZERO)
+    # out's internal cost at the new point, x over den, keeps out's value
+    value = old.sign * out.value
+    if int_dot(old.cost, x) * value.denominator != value.numerator * old.cost_den * den:
         raise ConsistencyError("re-optimised witness leaves the optimal face")
-    return new
+    return _optimal(new, _ZERO, x, den)
 
 
 def continue_along(out: LPOutcome, s) -> LPOutcome:
@@ -268,16 +357,17 @@ def continue_along(out: LPOutcome, s) -> LPOutcome:
     enters, ties to the lowest.  INFEASIBLE when none can: that row's
     slack entries are a Farkas vector y of d (y.A = 0, y.d > 0) with
     y.(b + s*d) = 0."""
-    tab, dens, basis, given, given_dens, obj, sense, cols = out.tableau
-    tab, dens, basis = tab[:], dens[:], basis[:]
-    m, n, s = len(basis), len(obj), Fraction(s)
+    old = out.tableau
+    tab, dens, basis = old.rows[:], old.dens[:], old.basis[:]
+    m, n, s = len(basis), len(old.cost), Fraction(s)
     p, q = s.numerator, s.denominator
     # the rows whose value is 0 at s; the pivots keep every value there
     zero = [i for i in range(m) if tab[i][-1] * q + p * tab[i][-2] == 0]
     while True:
         leave = min((i for i in zero if tab[i][-2] < 0), key=basis.__getitem__, default=None)
         if leave is None:
-            return _optimal((tab, dens, basis, given, given_dens, obj, sense, cols), s)
+            new = old._replace(rows=tab, dens=dens, basis=basis)
+            return _optimal(new, s, *_point(new, s))
         row, rc, enter = tab[leave], tab[m], None
         for j in range(2 * n + m):
             # rc_j / -row_j against the best ratio; denominators cancel
@@ -285,33 +375,41 @@ def continue_along(out: LPOutcome, s) -> LPOutcome:
                 enter = j
         if enter is None:
             y = row[2 * n:2 * n + m]
-            _check_farkas([g[:-1] for g in given], given_dens, n, y)
+            _check_farkas([g[:-1] for g in old.given], old.given_dens, n, y)
             return LPOutcome(INFEASIBLE,
                              certificate=tuple([Fraction(v, dens[leave]) for v in y]))
         pivot(tab, dens, leave, enter)
         basis[leave] = enter
 
 
-def _optimal(tableau, s):
-    """The optimal outcome of a final tableau read at b + s*d, with its
-    basic values' line and the tableau."""
-    tab, dens, basis, given, _, obj, sense, _ = tableau
-    m, n = len(basis), len(obj)
+def _point(tableau, s):
+    """The point x = x+ - x- a final tableau reads at b + s*d, checked
+    against the given rows there: (numerators, denominator)."""
+    tab, dens, basis = tableau.rows, tableau.dens, tableau.basis
+    n = len(tableau.cost)
     p, q = s.numerator, s.denominator
-    # each row's value at b + s*d; the reduced-cost row's is minus the value
-    vals = [Fraction(row[-1] * q + p * row[-2], den * q) for row, den in zip(tab, dens)]
-    x = dict(zip(basis, vals))
-    point = [x.get(k, _ZERO) - x.get(n + k, _ZERO) for k in range(n)]
-    value = sum((c * v for c, v in zip(obj, point)), _ZERO)
-    # the given rows (a, d, b) at b + s*d, as integer rows (q*a, q*b + p*d)
-    _check_point([[q * v for v in g[:n]] + [q * g[-1] + p * g[-2]] for g in given]
-                 if p else given, point)
-    sign = -1 if sense == "max" else 1
-    # a tuple from a list, not a generator: see linalg.int_rows
-    basic = tuple([(vals[i], Fraction(tab[i][-2], dens[i]))
-                   for i in sorted(range(m), key=basis.__getitem__)])
-    return LPOutcome(OPTIMAL, sign * value, tuple(point), None, tuple(sorted(basis)), basic,
-                     -sign * vals[m], Fraction(-sign * tab[m][-2], dens[m]), tableau)
+    # the structural basic rows' values at b + s*d, over den*q
+    rows = [i for i, k in enumerate(basis) if k < 2 * n]
+    den = lcm(*[dens[i] for i in rows])
+    x = [0] * n
+    for i in rows:
+        row, k = tab[i], basis[i]
+        v = (row[-1] * q + p * row[-2]) * (den // dens[i])
+        if k < n:
+            x[k] += v
+        else:
+            x[k - n] -= v
+    _check_point(tableau.given, x, den, p, q)
+    return x, den * q
+
+
+def _optimal(tableau, s, x, den):
+    """The optimal outcome of a final tableau read at b + s*d, its point
+    x/den from `_point`."""
+    value = Fraction(tableau.sign * int_dot(tableau.cost, x), tableau.cost_den * den)
+    # tuples from lists, not generators: see linalg.int_rows
+    return LPOutcome(OPTIMAL, value, tuple([Fraction(v, den) for v in x]), None,
+                     tuple(sorted(tableau.basis)), tableau, s)
 
 
 # The checks run on the given rows as integer rows (numerators of a, d, b
@@ -319,19 +417,22 @@ def _optimal(tableau, s):
 # integer row (A, B), and every rational vector is scaled to integers by a
 # positive factor first.
 
-def _check_point(ints, point):
-    (x,), (den,) = int_rows([point])
+def _check_point(ints, x, den, p=0, q=1):
+    """The point x/(den*q) satisfies every integer row (A, D, B) with its
+    rhs moved to B + (p/q)*D: A.x >= den*(q*B + p*D).  With p = 0 the rows
+    are read as (A, B)."""
     for row in ints:
-        if int_dot(row, x) < row[-1] * den:
+        rhs = q * row[-1] + p * row[-2] if p else row[-1]
+        if int_dot(row, x) < rhs * den:
             raise ConsistencyError("simplex witness violates a constraint")
 
 
-def _check_ray(ints, obj, ray):
+def _check_ray(ints, cost, ray):
     (r,), _ = int_rows([ray])
     for row in ints:
         if int_dot(row, r) < 0:
             raise ConsistencyError("unbounded ray leaves the feasible cone")
-    (c,), _ = int_rows([obj])
+    (c,), _ = int_rows([cost])
     if int_dot(c, r) >= 0:
         raise ConsistencyError("unbounded ray does not improve the objective")
 

@@ -1,12 +1,15 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
+import okbodies
 from okbodies import curves, jobs, linalg, toric
 from okbodies.cli import main
 from okbodies.errors import (BadRational, ConsistencyError, NonIntegerDivisor,
@@ -641,3 +644,31 @@ def test_toric_body_of_an_empty_generic_polytope(tmp_path):
     empty = VPolyhedron([], [])
     assert toric.toric_body_vertexmap(model, flag) == empty
     assert toric.toric_body_projection(model, flag) == empty
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    # two calls in one process, the first with --svg and --seed and the
+    # second with neither, write the files and return the exit codes that
+    # each call does in a process of its own
+    tropical, verify = (os.path.abspath(jobpath(name)) for name in
+                        ("quartic-tropical.json", "verify-random-curves.json"))
+    calls = [["curve-body", "tropical", "--input", tropical, "--svg", "fig.svg", "--seed", "5",
+              "--output", "first.json"],
+             ["verify", "--input", verify, "--output", "second.json"]]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    monkeypatch.chdir(together)
+    codes = [main(argv) for argv in calls]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okbodies.__file__))}
+    alone_codes = [subprocess.run([sys.executable, "-m", "okbodies.cli", *argv],
+                                  cwd=alone, env=env).returncode for argv in calls]
+    assert codes == alone_codes == [0, 0]
+
+    def files(d):
+        # the SVG's bytes, and each result's canonical section (the rest
+        # is timing)
+        return {p.name: p.read_bytes() if p.suffix == ".svg" else read_result(p)["canonical"]
+                for p in d.iterdir()}
+    assert set(files(together)) == {"fig.svg", "first.json", "second.json"}
+    assert files(together) == files(alone)

@@ -1,7 +1,9 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -410,9 +412,10 @@ def test_integer_certificate_checks_match_rational_definitions():
         bent = list(vec)
         bent[rng.randrange(len(bent))] += F(rng.choice((-1, 1)), rng.randint(1, 6))
         for v in (vec, bent):
+            (num,), (den,) = int_rows([v])
             if out.status == OPTIMAL:
                 ok = all(_dot(a, v) >= b for a, b in cons)
-                rejected = _rejects(_check_point, ints, v)
+                rejected = _rejects(_check_point, ints, num, den)
             elif out.status == UNBOUNDED:
                 ok = all(_dot(a, v) >= 0 for a, _ in cons) and _dot(cost, v) < 0
                 rejected = _rejects(_check_ray, ints, cost, v)
@@ -420,8 +423,85 @@ def test_integer_certificate_checks_match_rational_definitions():
                 ok = (all(y >= 0 for y in v)
                       and all(_dot(v, col) == 0 for col in zip(*(a for a, _ in cons)))
                       and _dot(v, [b for _, b in cons]) > 0)
-                (num,), _ = int_rows([v])
                 rejected = _rejects(_check_farkas, ints, dens, len(obj), num)
             assert rejected != ok
             verdicts.add((out.status, ok))
     assert len(verdicts) == 6
+
+
+# An optimal outcome keeps its tableau without the artificial block: each
+# row, the reduced-cost row included, holds x+, x-, the slacks, the
+# direction and the rhs, reduced by its gcd.
+
+def test_kept_tableau_has_no_artificial_block():
+    rng = random.Random(1612)
+    kept = 0
+    for _ in range(200):
+        cons, obj, sense = _random_rational_lp(rng)
+        d = [_rat(rng, -2, 2) for _ in cons]
+        out = solve_raw(cons, obj, sense, d)
+        if out.status != OPTIMAL:
+            continue
+        outs = [out, reoptimize(out, [0] * len(obj))]
+        _, hi = _validity(out.basic)
+        if hi is not None:
+            outs.append(continue_along(out, hi))
+        for o in outs:
+            if o.status != OPTIMAL:
+                continue
+            width = 2 * len(obj) + len(cons) + 2
+            assert len(o.tableau.rows) == len(cons) + 1
+            for row, den in zip(o.tableau.rows, o.tableau.dens):
+                assert len(row) == width and gcd(*row, den) == 1
+            kept += 1
+    assert kept >= 250
+
+
+# The certificate checks stay on every optimal read: a tableau corrupted
+# after the solve must not yield an outcome.
+
+def _box_outcome():
+    # min x + y over the unit square: the optimum (0, 0)
+    return solve_raw([([1, 0], 0), ([-1, 0], -1), ([0, 1], 0), ([0, -1], -1)],
+                     [1, 1], "min")
+
+
+def _rhs_moved(out):
+    """A copy of `out` whose first structural basic row reads 1000 more."""
+    t = out.tableau
+    n = len(out.witness)
+    i = next(i for i, k in enumerate(t.basis) if k < 2 * n)
+    rows = [row[:] for row in t.rows]
+    rows[i][-1] += 1000 * t.dens[i]
+    return replace(out, tableau=t._replace(rows=rows))
+
+
+def test_corrupted_tableau_fails_its_witness_check():
+    out = _box_outcome()
+    assert (out.status, out.value, out.witness) == (OPTIMAL, 0, (0, 0))
+    bad = _rhs_moved(out)
+    with pytest.raises(ConsistencyError, match="violates a constraint"):
+        continue_along(bad, 0)
+    with pytest.raises(ConsistencyError, match="violates a constraint"):
+        reoptimize(bad, [0, 0])
+    # the untouched outcome still reads its point
+    assert continue_along(out, 0).witness == reoptimize(out, [0, 0]).witness == (0, 0)
+
+
+def test_tampered_value_fails_the_face_check():
+    out = _box_outcome()
+    assert reoptimize(out, [1, -1], "max").value == 0
+    with pytest.raises(ConsistencyError, match="leaves the optimal face"):
+        reoptimize(replace(out, value=out.value + 1), [1, -1], "max")
+
+
+def test_reoptimize_refuses_an_outcome_read_past_its_rhs():
+    # the ratio tests of a re-optimisation read the solve's rhs column, so
+    # a continuation read at s != 0 is refused; one at s = 0 is not
+    out = solve_raw([([1], 0), ([-1], -1)], [0], "min", [1, 0])
+    assert continue_along(out, 0).s == 0
+    assert reoptimize(continue_along(out, 0), [1], "min").value == 0
+    moved = continue_along(out, F(1, 2))
+    assert (moved.status, moved.s) == (OPTIMAL, F(1, 2))
+    with pytest.raises(ValueError):
+        reoptimize(moved, [1], "min")

@@ -1,21 +1,23 @@
 """Small exact linear algebra helpers over Fraction.
 
-Matrices are lists of lists (rows).  Everything here is desk scale;
-plain Gauss-Jordan elimination with exact pivots is all we need.
+Matrices are lists of lists (rows).  Everything here is desk scale.
 
-The elimination kernel works on integer rows: a row is a list of integer
-numerators over one positive integer denominator, kept reduced by the gcd
-of the row and its denominator, so it holds exactly the values of the
-Fraction row it stands for.  `int_rows` builds them, and `pivot` is the
-one row update: it serves the simplex tableau, the Gauss-Jordan
-elimination here and the principal pivots of
-`linsys.least_element_path`.  Fractions are built again only for results.
+Both kernels work on integer rows from `int_rows`: a row of ints and
+Fractions becomes integer numerators over one positive denominator, its
+least common denominator.  Every matrix solve here (`solve_integer`,
+`solve_square`, `det_int`, `nullspace`, `null_vector`) is one
+fraction-free elimination, `_echelon`, with back substitution over its
+last pivot: no gcd and no Fraction inside.  `pivot` is the Gauss-Jordan
+row update of a tableau, each row kept reduced by the gcd of its entries
+and its denominator: it serves the simplex tableau and the principal
+pivots of `linsys.least_element_path`.  Fractions are built again only
+for results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import ConsistencyError
@@ -72,84 +74,130 @@ def pivot(rows, dens, r, c):
             rows[i], dens[i] = eliminate(row, dens[i], prow, c, support)
 
 
-def _reduce(matrix, ncols):
-    """Reduced row echelon form of `matrix` over its first `ncols` columns
-    (later columns ride along).  Returns (rows, dens, pivot columns, num,
-    den), where num/den is the product of the pivot values times the sign
-    of the row swaps: the determinant when the matrix is square of full
-    rank."""
-    rows, dens = int_rows(matrix)
+def _echelon(rows, ncols):
+    """Fraction-free row echelon form of integer rows, in place, over the
+    first `ncols` columns (later columns ride along): Bareiss's elimination
+    ("Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968).  The pivot of a column is its first
+    nonzero entry at or below the current row; a column with none is
+    skipped.  Each row below the pivot p becomes (p*row - f*prow) // prev,
+    f its entry in the pivot column and prev the previous pivot (1 at
+    first): by Sylvester's identity every entry is then a minor of the
+    rows as given, so the division is exact and the rows need no gcd.
+
+    Returns (pivot columns, det), det being the last pivot (1 with none)
+    times the sign of the row swaps: the determinant of the rows when they
+    are square of full rank, and in general the determinant of the minor
+    on the pivot rows and columns, up to sign."""
+    m = len(rows)
     pivots = []
-    num = den = 1
+    sign = prev = 1
     for col in range(ncols):
-        rk = len(pivots)
-        if rk == len(rows):
+        k = len(pivots)
+        if k == m:
             break
-        r = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
-        if r is None:
+        r = k
+        while r < m and not rows[r][col]:
+            r += 1
+        if r == m:
             continue
-        if r != rk:
-            rows[rk], rows[r] = rows[r], rows[rk]
-            dens[rk], dens[r] = dens[r], dens[rk]
-            num = -num
-        num *= rows[rk][col]
-        den *= dens[rk]
-        pivot(rows, dens, rk, col)
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        prow = rows[k]
+        p = prow[col]
+        rest = range(col + 1, len(prow))
+        for row in rows[k + 1:]:
+            f = row[col]
+            row[col] = 0
+            if f:
+                for j in rest:
+                    row[j] = (p * row[j] - f * prow[j]) // prev
+            elif p != prev:
+                for j in rest:
+                    row[j] = p * row[j] // prev
+        prev = p
         pivots.append(col)
-    return rows, dens, pivots, num, den
+    return pivots, sign * prev
+
+
+def _back_substitute(rows, pivots, col, det):
+    """det * y as integers, y the solution of sum_j rows[i][pivots[j]] * y_j
+    = rows[i][col] over the pivot rows i of an echelon from `_echelon`,
+    det the one it returned.  The echelon's pivot rows are invertible
+    combinations of the original ones, so y also solves the original
+    pivot rows on the pivot columns, a system of determinant +-det: by
+    Cramer's rule det * y is integral, and each division below is
+    exact."""
+    nums = [0] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        s = det * row[col]
+        for j in range(i + 1, len(pivots)):
+            s -= row[pivots[j]] * nums[j]
+        nums[i] = s // row[pivots[i]]
+    return nums
 
 
 def solve_square(matrix, rhs):
-    """Solve M x = rhs for square M, with one elimination of [M | rhs].
-    Returns the solution vector or None when M is singular."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    rows, dens, pivots, _, _ = _reduce(aug, n)
-    if len(pivots) < n:
+    """Solve M x = rhs for square M: the Fractions of `solve_integer` of
+    [M | rhs].  Returns the solution vector or None when M is singular."""
+    sol = solve_integer([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
+    if sol is None:
         return None
-    return [Fraction(rows[i][n], dens[i]) for i in range(n)]
+    nums, den = sol
+    return [Fraction(v, den) for v in nums]
 
 
 def solve_integer(aug):
     """Solve M x = r for the augmented square system aug = [M | r] (rows of
-    ints and Fractions), with one elimination.  Returns the numerators of x
-    over one positive denominator, (nums, den), or None when M is
-    singular."""
+    ints and Fractions), by one fraction-free elimination and back
+    substitution.  Returns the numerators of x over one positive
+    denominator, (nums, den), or None when M is singular."""
     n = len(aug)
-    rows, dens, pivots, _, _ = _reduce(aug, n)
+    rows, _ = int_rows(aug)
+    pivots, det = _echelon(rows, n)
     if len(pivots) < n:
         return None
-    den = lcm(*dens)
-    return [row[n] * (den // d) for row, d in zip(rows, dens)], den
+    nums = _back_substitute(rows, pivots, n, det)
+    if det < 0:
+        return [-v for v in nums], -det
+    return nums, det
 
 
 def det_int(matrix) -> int:
     """Determinant of a square integer matrix."""
     n = len(matrix)
-    _, _, pivots, num, den = _reduce(matrix, n)
+    rows, dens = int_rows(matrix)
+    pivots, det = _echelon(rows, n)
     if len(pivots) < n:
         return 0
-    if num % den:
+    # each row was scaled by its denominator
+    den = prod(dens)
+    if det % den:
         raise ConsistencyError("determinant of an integer matrix is not an integer")
-    return num // den
+    return det // den
 
 
 def nullspace(matrix, ncols=None):
-    """Basis of the right nullspace of `matrix` (list of vectors)."""
+    """Basis of the right nullspace of `matrix` (list of vectors): one
+    vector per non-pivot column, 1 there and 0 at the other non-pivot
+    columns."""
     if not matrix:
         if ncols is None:
             return []
         return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     ncols = len(matrix[0])
-    rows, dens, pivots, _, _ = _reduce(matrix, ncols)
+    rows, _ = int_rows(matrix)
+    pivots, det = _echelon(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = Fraction(-rows[r][fc], dens[r])
+        for pc, num in zip(pivots, _back_substitute(rows, pivots, fc, det)):
+            vec[pc] = Fraction(-num, det)
         basis.append(vec)
     return basis
 
@@ -158,16 +206,16 @@ def null_vector(matrix, ncols):
     """The primitive integer vector that spans the right nullspace of
     `matrix` (rows of ints and Fractions, `ncols` columns), positive at its
     one non-pivot column, or None when the nullspace is not a line."""
-    rows, dens, pivots, _, _ = _reduce(matrix, ncols)
+    rows, _ = int_rows(matrix)
+    pivots, det = _echelon(rows, ncols)
     if len(pivots) != ncols - 1:
         return None
     free = next(j for j in range(ncols) if j not in pivots)
-    den = lcm(*dens[:len(pivots)])
     vec = [0] * ncols
-    vec[free] = den
-    for row, d, c in zip(rows, dens, pivots):
-        vec[c] = -row[free] * (den // d)
-    g = gcd(*vec)
+    vec[free] = det
+    for pc, num in zip(pivots, _back_substitute(rows, pivots, free, det)):
+        vec[pc] = -num
+    g = gcd(*vec) if det > 0 else -gcd(*vec)
     return [v // g for v in vec]
 
 

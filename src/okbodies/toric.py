@@ -121,12 +121,16 @@ class ToricFlag:
 def _model_rows(model: ToricModel):
     """P_model's inequalities <r, (m, h)> >= b as integer pairs (r, b):
     one per generic ray, with r_h = 0, so these alone cut out P_D; one per
-    vertical vertex; and h >= 0 last.  The rows with r_h = 1 are the
-    pieces of psi."""
+    vertical vertex; and h >= 0 last, unless a vertical vertex at the
+    origin with coefficient 0 already gave that row.  The rows with
+    r_h = 1 are the pieces of psi."""
     d = model.ambient_dim
-    return ([(u + (0,), -a) for u, a in model.generic_rays]
-            + [(v + (1,), -a) for v, a in model.vertical_vertices]
-            + [((0,) * d + (1,), 0)])
+    rows = ([(u + (0,), -a) for u, a in model.generic_rays]
+            + [(v + (1,), -a) for v, a in model.vertical_vertices])
+    floor = ((0,) * d + (1,), 0)
+    if floor not in rows:
+        rows.append(floor)
+    return rows
 
 
 def build_generic_polytope(model: ToricModel) -> HPolyhedron:

@@ -188,15 +188,15 @@ def _reference_q_reduced(g, lam, q):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts the linalg.solve_square calls, the energy step's one solve."""
+    """Counts the linalg.solve_integer calls, the energy step's one solve."""
     calls = []
-    solve = linalg.solve_square
+    solve = linalg.solve_integer
 
-    def counted(matrix, rhs):
-        calls.append(len(matrix))
-        return solve(matrix, rhs)
+    def counted(aug):
+        calls.append(len(aug))
+        return solve(aug)
 
-    monkeypatch.setattr(linalg, "solve_square", counted)
+    monkeypatch.setattr(linalg, "solve_integer", counted)
     return calls
 
 

@@ -1,9 +1,12 @@
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from okbodies import toric
 from okbodies.errors import (FlagRayUnknown, NotABasis,
                              OutsideGenericPolytope, UnboundedGenericPolytope)
 from okbodies.polyhedra import (VPolyhedron, enumerate_v_rep, project_out,
@@ -178,6 +181,39 @@ def test_routes_equal_as_built_on_random_models():
                                     for ray, a in f.rays)
         empty += body.is_empty()
     assert 0 < empty < 12
+
+
+def test_model_rows_keep_h_ge_0_once(monkeypatch):
+    # a vertical vertex at the origin with coefficient 0 gives the row
+    # h >= 0 itself, so the job's model has its 4 + 2 rows and no seventh;
+    # the rows with h >= 0 appended a second time give the same body
+    with open(os.path.join(os.path.dirname(__file__), "..", "jobs",
+                           "toric-d2-square.json")) as fh:
+        payload = json.load(fh)["payload"]["model"]
+    model = ToricModel(payload["ambient_dim"],
+                       [(tuple(u), a) for u, a in payload["generic_rays"]],
+                       [(tuple(v), a) for v, a in payload["vertical_vertices"]])
+    rows = toric._model_rows(model)
+    assert len(rows) == 6 and rows.count(((0, 0, 1), 0)) == 1
+    rows = toric._model_rows(ToricModel(1, [((1,), 0), ((-1,), 1)],
+                                        [((0,), 1), ((1,), 0)]))
+    assert len(rows) == 5 and rows[-1] == ((0, 1), 0)
+
+    rng = random.Random(7)
+    models = [_random_model(rng) for _ in range(12)]
+    models += [(model_d1(), flag_d1()), (model_d2(), flag_d2())]
+    bodies = [toric_body(m, f) for m, f in models]
+    model_rows = toric._model_rows
+
+    def doubled_floor(model):
+        rows = model_rows(model)
+        if len(rows) == len(model.generic_rays) + len(model.vertical_vertices):
+            rows.append(((0,) * model.ambient_dim + (1,), 0))
+        return rows
+
+    monkeypatch.setattr(toric, "_model_rows", doubled_floor)
+    assert [toric_body(m, f) for m, f in models] == bodies
+    assert any(len(doubled_floor(m)) > len(model_rows(m)) for m, _ in models)
 
 
 def test_homogeneity():

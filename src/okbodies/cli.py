@@ -1,15 +1,22 @@
 """Command-line front end.
 
     okbodies linsys {min|member|shift} --input job.json [--output out.json]
-    okbodies rank --input job.json
-    okbodies curve-body {tropical|arakelov} --input job.json [--svg fig.svg]
-    okbodies toric-body --input job.json [--svg fig.svg]
-    okbodies verify --input job.json [--seed N]
+    okbodies rank --input job.json [--output out.json]
+    okbodies curve-body {tropical|arakelov} --input job.json [--output out.json]
+        [--svg fig.svg] [--window x0,x1,y0,y1]
+    okbodies toric-body --input job.json [--output out.json]
+        [--svg fig.svg] [--window x0,x1,y0,y1]
+    okbodies verify --input job.json [--output out.json] [--seed N]
 
-Exit codes: 0 success, 2 empty-system outcomes, 1 errors (internal
-errors included, reported as "internal error: ..." on stderr).  The subcommand
-must match the job file's kind (and op/flag type where applicable).
---svg draws the body the job computed; an empty body writes no SVG.
+Each subcommand takes only the options shown; any other is a usage error,
+refused before the job file is read.
+
+Exit codes: 0 success, 2 empty-system outcomes and usage errors, 1 errors
+(internal errors included, reported as "internal error: ..." on stderr;
+an unreadable input or unwritable output as "error: cannot read ..." or
+"error: cannot write ...").  The subcommand must match the job file's
+kind (and op/flag type where applicable).  --svg draws the body the job
+computed; an empty body writes no SVG.
 """
 
 from __future__ import annotations
@@ -25,12 +32,16 @@ from .jobs import EXIT_ERROR
 from .svgplot import render_svg
 
 
-def _add_common(sub):
+def _subcommand(subs, name, summary, body=False):
+    """A subcommand with --input and --output, and with --svg and --window
+    when it computes a body."""
+    sub = subs.add_parser(name, help=summary)
     sub.add_argument("--input", required=True, help="job JSON file")
     sub.add_argument("--output", help="write the result JSON here (default stdout)")
-    sub.add_argument("--svg", help="render the body to this SVG file")
-    sub.add_argument("--window", help="viewing window x0,x1,y0,y1 (exact rationals)")
-    sub.add_argument("--seed", type=int, help="seed for verify sampling")
+    if body:
+        sub.add_argument("--svg", help="render the body to this SVG file")
+        sub.add_argument("--window", help="viewing window x0,x1,y0,y1 (exact rationals)")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,24 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="okbodies",
         description="linear systems on graphs and Newton-Okounkov bodies "
                     "of curves and toric schemes over DVRs, in exact rationals")
+    # what a subcommand without these options reads
+    parser.set_defaults(svg=None, window=None, seed=None)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    ls = subs.add_parser("linsys", help="linear-system operations")
+    ls = _subcommand(subs, "linsys", "linear-system operations")
     ls.add_argument("op", choices=["min", "member", "shift"])
-    _add_common(ls)
-
-    rk = subs.add_parser("rank", help="non-negative rank of an integer divisor")
-    _add_common(rk)
-
-    cb = subs.add_parser("curve-body", help="curve Newton-Okounkov body")
+    _subcommand(subs, "rank", "non-negative rank of an integer divisor")
+    cb = _subcommand(subs, "curve-body", "curve Newton-Okounkov body", body=True)
     cb.add_argument("regime", choices=["tropical", "arakelov"])
-    _add_common(cb)
-
-    tb = subs.add_parser("toric-body", help="toric Newton-Okounkov body")
-    _add_common(tb)
-
-    vf = subs.add_parser("verify", help="run independent oracles against the main algorithms")
-    _add_common(vf)
+    _subcommand(subs, "toric-body", "toric Newton-Okounkov body", body=True)
+    vf = _subcommand(subs, "verify", "run independent oracles against the main algorithms")
+    vf.add_argument("--seed", type=int, help="seed for verify sampling")
     return parser
 
 
@@ -92,11 +96,7 @@ def _default_window(body) -> tuple:
 
 
 def _render(args, job, result) -> None:
-    if not args.svg:
-        return
-    if job.kind not in ("curve-body", "toric-body"):
-        raise OkbodiesError(f"--svg is not available for {job.kind!r} jobs")
-    if result.status == "empty":
+    if not args.svg or result.status == "empty":
         return
     body = result.body
     if job.kind == "toric-body" and body.dimension != 2:
@@ -105,9 +105,15 @@ def _render(args, job, result) -> None:
         window = jobs.parse_window(args.window.split(","), "--window")
     else:
         window = job.window or _default_window(body)
-    svg = render_svg(body, window)
-    with open(args.svg, "w") as fh:
-        fh.write(svg)
+    _write(args.svg, render_svg(body, window))
+
+
+def _write(path, text) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OkbodiesError(f"cannot write {path}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -123,6 +129,12 @@ def main(argv=None) -> int:
         _check_match(args, job)
         result = jobs.run_job(job, seed=args.seed)
         _render(args, job, result)
+        doc = json.dumps(result.as_document(), sort_keys=True, indent=2) + "\n"
+        out_path = args.output or job.options.get("output")
+        if out_path:
+            _write(out_path, doc)
+        else:
+            sys.stdout.write(doc)
     except WindowEmpty as exc:
         print(f"error: empty window: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -133,13 +145,6 @@ def main(argv=None) -> int:
         # a failed internal check or a non-terminating loop: a bug, not bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    out_path = args.output or job.options.get("output")
-    doc = json.dumps(result.as_document(), sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
     if job.kind == "verify" and not result.result.get("pass", True):
         return EXIT_ERROR
     return result.exit_code

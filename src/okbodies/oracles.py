@@ -77,25 +77,14 @@ class RankOracle:
         else:
             lap = graph.laplacian_matrix()
             red = [row[1:] for row in lap[1:]]
-            inv_cols = []
-            det = linalg.det_int(red)
-            if det == 0:
+            # column i of |det|.L^-1, over the denominator |det| that
+            # Bareiss gives every column
+            sols = [linalg.solve_integer([row + [int(i == j)] for j, row in enumerate(red)])
+                    for i in range(n - 1)]
+            if sols[0] is None:
                 raise AssertionError("reduced Laplacian of a connected graph is invertible")
-            self.det = abs(det)
-            adj = []
-            for i in range(n - 1):
-                rhs = [Fraction(int(i == j)) for j in range(n - 1)]
-                col = linalg.solve_square(red, rhs)
-                inv_cols.append([q * det for q in col])
-            for i in range(n - 1):
-                row = []
-                for j in range(n - 1):
-                    q = inv_cols[j][i]
-                    if q.denominator != 1:
-                        raise AssertionError("adjugate entry not integral")
-                    row.append(int(q) * (1 if det > 0 else -1))
-                adj.append(row)
-            self.adjugate = adj
+            self.det = sols[0][1]
+            self.adjugate = [list(row) for row in zip(*[nums for nums, _ in sols])]
         self._winnable_cache = {}
 
     def _key(self, reduced_coords) -> tuple:

@@ -58,7 +58,7 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
     """val(t) = min or max of objective.x over {x : A x >= b0 + t*b1}, exact
     and piecewise linear, on the largest closed subinterval of `interval`
     (t_min, t_max) on which the family is feasible; t_max None is
-    +infinity.
+    +infinity.  A, b0, b1 and the objective hold ints or Fractions.
 
     The left end is t_min when the family is feasible there.  Else it is
     the least feasible t, from one LP over the lift {(x, t) : A x - t*b1
@@ -73,9 +73,6 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
     Raises InfeasibleEverywhere when no t in the interval is feasible, and
     UnboundedValue when the objective is unbounded at the left end, hence
     at every feasible t."""
-    rows = [tuple(Fraction(v) for v in row) for row in A]
-    b0 = [Fraction(v) for v in b0]
-    b1 = [Fraction(v) for v in b1]
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     t_min = Fraction(interval[0])
@@ -84,12 +81,12 @@ def parametric_value_function(A: Sequence[Sequence[Fraction]],
         raise InfeasibleEverywhere("empty parameter interval")
 
     def solve_at(t):
-        return simplex.solve_raw([(a, p + t * q) for a, p, q in zip(rows, b0, b1)],
+        return simplex.solve_raw([(a, p + t * q) for a, p, q in zip(A, b0, b1)],
                                  objective, sense, b1)
 
     t_lo, out = t_min, solve_at(t_min)
     if out.status == INFEASIBLE:
-        t_lo = _least_feasible(rows, b0, b1, len(objective), t_min, t_max)
+        t_lo = _least_feasible(A, b0, b1, len(objective), t_min, t_max)
         out = solve_at(t_lo)
     if out.status == UNBOUNDED:
         # the recession cone {r : A r >= 0} does not depend on t, so the

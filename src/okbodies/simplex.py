@@ -50,21 +50,29 @@ it (`tableau_value`) and its rate (`slope`) are computed on request from
 the kept tableau and the point s it is read at; only the parametric
 route reads them.
 
+Phase 2: one routine prices a cost row on a tableau with a feasible
+basis and runs Bland's rule over given candidate columns, checking the
+ray or the witness it ends with.  A cold solve is phase 1 followed by
+that phase 2, from the phase-1 basis with every structural column a
+candidate; an unconstrained LP is no special case (with no rows, the
+first column of negative cost gives the ray).
+
 Lexicographic re-optimisation: `reoptimize` optimises a new objective
 over the optimal points of any optimal outcome read at its solve's rhs
-(s = 0), each of which keeps its final tableau.  It prices the new cost
-row on a copy of that tableau and runs phase 2 with only the outcome's
-own candidate columns whose reduced cost is 0 allowed to enter.  The
-others stay nonbasic at 0, which holds every visited point on the
-optimal face.  A reduced cost set positive would not block a column,
-since each pivot rewrites that row, so the face is kept by the entering
-scan alone.  From a zero-objective solve every structural column has
-reduced cost 0: the face is the whole system, and the re-optimisation is
-a phase 2 from the phase-1 basis.  The standard-form layout stays
-private to this module.
+(s = 0), each of which keeps its final tableau.  It runs the same
+phase 2 on a copy of that tableau with only the outcome's own candidate
+columns whose reduced cost is 0 allowed to enter.  The others stay
+nonbasic at 0, which holds every visited point on the optimal face.  A
+reduced cost set positive would not block a column, since each pivot
+rewrites that row, so the face is kept by the entering scan alone.  From
+a zero-objective solve every structural column has reduced cost 0: the
+face is the whole system, and the re-optimisation is a phase 2 from the
+phase-1 basis.  The standard-form layout stays private to this module.
 
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
-heuristics.  Intended for dimensions <= 10 and a few hundred constraints.
+heuristics.  A full tableau of Python integers: the package's LPs run to
+a few hundred rows, such as the 180-row families the parametric route
+solves on a 90-vertex graph.
 """
 
 from __future__ import annotations
@@ -84,7 +92,8 @@ _ZERO = Fraction(0)
 
 
 class _Tableau(NamedTuple):
-    """The final tableau an optimal outcome keeps."""
+    """A tableau with a feasible basis: where phase 2 starts, and the
+    final tableau an optimal outcome keeps."""
     # integer rows over x+, x-, s, d and the rhs, the reduced-cost row
     # last, with their denominators, and the basis of the constraint rows
     rows: List[List[int]]
@@ -214,26 +223,18 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
     final tableau, from which `basic`, `tableau_value` and `slope` read the
     optimal basis's value line as b moves along `direction` d (one entry
     per constraint; all zeros when it is absent or empty)."""
-    nvars = len(objective)
+    n = len(objective)
     for a, _ in constraints:
-        if len(a) != nvars:
+        if len(a) != n:
             raise DimensionMismatch(
-                f"constraint has {len(a)} coefficients, expected {nvars}")
+                f"constraint has {len(a)} coefficients, expected {n}")
     cost, cost_den, sign = _cost(objective, sense)
     rows = constraints
     m = len(rows)
-    n = nvars
     nstruct = 2 * n + m
     direction = direction or [0] * m
     if len(direction) != m:
         raise DimensionMismatch(f"direction has {len(direction)} entries, expected {m}")
-
-    if m == 0 and any(cost):
-        # unconstrained and a nonzero objective; for "max" the ray improves
-        # the internal min, equivalently the max
-        ray = tuple(Fraction(0) if c == 0 else (Fraction(-1) if c > 0 else Fraction(1))
-                    for c in cost)
-        return LPOutcome(UNBOUNDED, certificate=ray)
 
     # phase 1 tableau: rows scaled to nonnegative rhs, one artificial per row,
     # the direction column, then the reduced-cost row of the artificial
@@ -285,20 +286,29 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
             row = [v // g for v in row]
         tab[i], dens[i] = row, dens[i] // g
 
-    # phase 2: real costs, only structural columns enter; the rhs entry of
-    # the reduced-cost row is minus the objective value
+    # phase 2 from the phase-1 basis, every structural column a candidate
+    return _phase2(_Tableau(tab, dens, basis, given, given_dens, cost, cost_den, sign,
+                            range(nstruct)))
+
+
+def _phase2(start):
+    """Phase 2 in place on the lists of `start`, a tableau whose basis is
+    feasible and whose cost fields hold the cost to optimise: prices that
+    cost into the reduced-cost row and runs Bland's rule over start.cols.
+    UNBOUNDED with a ray that passed `_check_ray`, or OPTIMAL with a
+    witness that passed `_point`, keeping `start` as its final tableau."""
+    tab, dens, basis, cost = start.rows, start.dens, start.basis, start.cost
+    m = len(basis)
+    # the rhs entry of the reduced-cost row is minus the internal value;
+    # the slack and direction columns and the rhs cost 0
     tab[m], dens[m] = _price(tab, dens, basis, cost + [-c for c in cost] + [0] * (m + 2),
-                             cost_den)
-    cols = range(nstruct)
-    entering = _run_simplex(tab, dens, basis, cols)
-
+                             start.cost_den)
+    entering = _run_simplex(tab, dens, basis, start.cols)
     if entering is not None:
-        ray = _ray(tab, dens, basis, entering, n)
-        _check_ray(given, cost, ray)
+        ray = _ray(tab, dens, basis, entering, len(cost))
+        _check_ray(start.given, cost, ray)
         return LPOutcome(UNBOUNDED, certificate=tuple(ray))
-
-    final = _Tableau(tab, dens, basis, given, given_dens, cost, cost_den, sign, cols)
-    return _optimal(final, _ZERO, *_point(final, _ZERO))
+    return _optimal(start, _ZERO, *_point(start, _ZERO))
 
 
 def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
@@ -322,28 +332,16 @@ def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
     if len(objective) != n:
         raise DimensionMismatch(f"objective has {len(objective)} entries, expected {n}")
     cost, cost_den, sign = _cost(objective, sense)
-    tab, dens, basis = old.rows[:], old.dens[:], old.basis[:]
-    m = len(basis)
-    rc = tab[m]
-    cols = [j for j in old.cols if rc[j] == 0]
-    # costs of the slack and direction columns and the rhs are 0
-    tab[m], dens[m] = _price(tab, dens, basis, cost + [-c for c in cost] + [0] * (m + 2),
-                             cost_den)
-    entering = _run_simplex(tab, dens, basis, cols)
-    if entering is not None:
-        ray = _ray(tab, dens, basis, entering, n)
-        _check_ray(old.given, cost, ray)
-        if dot(old.cost, ray) != 0:
+    cols = [j for j in old.cols if old.rows[-1][j] == 0]
+    new = _phase2(old._replace(rows=old.rows[:], dens=old.dens[:], basis=old.basis[:],
+                               cost=cost, cost_den=cost_den, sign=sign, cols=cols))
+    if new.status == UNBOUNDED:
+        if dot(old.cost, new.certificate) != 0:
             raise ConsistencyError("re-optimised ray leaves the optimal face")
-        return LPOutcome(UNBOUNDED, certificate=tuple(ray))
-    new = old._replace(rows=tab, dens=dens, basis=basis, cost=cost, cost_den=cost_den,
-                       sign=sign, cols=cols)
-    x, den = _point(new, _ZERO)
-    # out's internal cost at the new point, x over den, keeps out's value
-    value = old.sign * out.value
-    if int_dot(old.cost, x) * value.denominator != value.numerator * old.cost_den * den:
+    elif dot(old.cost, new.witness) != old.sign * out.value * old.cost_den:
+        # out's internal cost at the new point keeps out's value
         raise ConsistencyError("re-optimised witness leaves the optimal face")
-    return _optimal(new, _ZERO, x, den)
+    return new
 
 
 def continue_along(out: LPOutcome, s) -> LPOutcome:

@@ -161,31 +161,21 @@ def _axes(cv: _Canvas):
 
 def _hatch(cv: _Canvas, polygon, side: str):
     """Hatch marks along polygon edges lying on one window boundary."""
-    if side == "right":
-        on = lambda p: p[0] == cv.x1
-    elif side == "top":
-        on = lambda p: p[1] == cv.y1
-    elif side == "left":
-        on = lambda p: p[0] == cv.x0
-    else:
-        on = lambda p: p[1] == cv.y0
+    # the side's axis, its boundary value, and the mark's direction in x
+    # and y, in units of 1/60 of the window
+    axis, bound, sx, sy = {"right": (0, cv.x1, -1, -1), "left": (0, cv.x0, 1, -1),
+                           "top": (1, cv.y1, -1, -1), "bottom": (1, cv.y0, -1, 1)}[side]
+    dx, dy = sx * (cv.x1 - cv.x0) / 60, sy * (cv.y1 - cv.y0) / 60
     n = len(polygon)
     style = "stroke:#888;stroke-width:1"
     for i in range(n):
         a, b = polygon[i], polygon[(i + 1) % n]
-        if on(a) and on(b) and a != b:
+        if a[axis] == bound and b[axis] == bound and a != b:
             for k in range(1, 9):
                 t = Fraction(k, 9)
                 mx = a[0] + (b[0] - a[0]) * t
                 my = a[1] + (b[1] - a[1]) * t
-                dx = (cv.x1 - cv.x0) / 60
-                dy = (cv.y1 - cv.y0) / 60
-                if side in ("right", "left"):
-                    cv.line((mx, my), (mx - dx if side == "right" else mx + dx,
-                                       my - dy), style)
-                else:
-                    cv.line((mx, my), (mx - dx, my - dy if side == "top" else my + dy),
-                            style)
+                cv.line((mx, my), (mx + dx, my + dy), style)
 
 
 def _truncated_sides(rays) -> List[str]:

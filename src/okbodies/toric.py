@@ -39,7 +39,8 @@ IntVec = Tuple[int, ...]
 
 def _ivec(v, d, what) -> IntVec:
     out = tuple(int(x) for x in v)
-    if len(out) != d or any(Fraction(x) != y for x, y in zip(v, out)):
+    # an int is its own integer: only other types need the Fraction test
+    if len(out) != d or any(type(x) is not int and Fraction(x) != y for x, y in zip(v, out)):
         raise DimensionMismatch(f"{what} must be an integer vector of length {d}")
     return out
 

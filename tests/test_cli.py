@@ -579,14 +579,11 @@ def _write_job(tmp_path, doc):
      "job op 'shift' does not match 'min'"),
     (["curve-body", "arakelov"], "quartic-tropical.json", None,
      "job flag type 'tropical' does not match 'arakelov'"),
-    (["rank", "--svg", "SVG"], "quartic-rank.json", None,
-     "--svg is not available for 'rank' jobs"),
     (["curve-body", "tropical", "--svg", "SVG", "--window", "0,1,2"],
      "quartic-tropical.json", None, "--window needs four rationals x0, x1, y0, y1"),
     (["rank"], None, None, "cannot read"),
 ], ids=["effective-min", "effective-shift", "window-not-rational", "window-empty",
-        "op-mismatch", "flag-mismatch", "svg-on-rank", "window-three-parts",
-        "unreadable-input"])
+        "op-mismatch", "flag-mismatch", "window-three-parts", "unreadable-input"])
 def test_refused_jobs_exit_cleanly(tmp_path, capsys, argv, name, edit, message):
     job = str(tmp_path / "missing.json")
     if name is not None:
@@ -602,6 +599,47 @@ def test_refused_jobs_exit_cleanly(tmp_path, capsys, argv, name, edit, message):
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists() and not svg.exists()
+
+
+# every option that a subcommand does not take: --svg and --window draw a
+# body, and --seed seeds verify's sampling
+FOREIGN_OPTIONS = [
+    (["linsys", "min"], "--svg"), (["linsys", "min"], "--window"),
+    (["linsys", "min"], "--seed"), (["rank"], "--svg"), (["rank"], "--window"),
+    (["rank"], "--seed"), (["curve-body", "tropical"], "--seed"),
+    (["toric-body"], "--seed"), (["verify"], "--svg"), (["verify"], "--window"),
+]
+
+
+@pytest.mark.parametrize("argv, option", FOREIGN_OPTIONS,
+                         ids=[f"{argv[0]}{option}" for argv, option in FOREIGN_OPTIONS])
+def test_foreign_options_are_usage_errors(tmp_path, capsys, monkeypatch, argv, option):
+    # refused while the arguments are parsed, with argparse's exit code 2,
+    # before the job file is opened or anything is written
+    def no_open(*args, **kwargs):
+        raise AssertionError("the job file was opened")
+    monkeypatch.setattr("okbodies.cli.open", no_open, raising=False)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--input", jobpath("quartic-rank.json"), option, "1",
+                    "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--input", jobpath("quartic-rank.json"), "--output", "MISSING"],
+    ["curve-body", "tropical", "--input", jobpath("quartic-tropical.json"), "--svg", "MISSING"],
+], ids=["output", "svg"])
+def test_unwritable_path_exits_cleanly(tmp_path, capsys, argv):
+    # a path in a missing directory: exit 1 with a diagnostic, no traceback
+    missing = str(tmp_path / "missing" / "out")
+    assert run([missing if a == "MISSING" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {missing}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_linsys_member_job_to_stdout(tmp_path, capsys):
@@ -647,14 +685,14 @@ def test_toric_body_of_an_empty_generic_polytope(tmp_path):
 
 
 def test_one_parser_serves_every_call(tmp_path, monkeypatch):
-    # two calls in one process, the first with --svg and --seed and the
-    # second with neither, write the files and return the exit codes that
-    # each call does in a process of its own
+    # two calls in one process, the first with --svg and the second with
+    # --seed, write the files and return the exit codes that each call
+    # does in a process of its own
     tropical, verify = (os.path.abspath(jobpath(name)) for name in
                         ("quartic-tropical.json", "verify-random-curves.json"))
-    calls = [["curve-body", "tropical", "--input", tropical, "--svg", "fig.svg", "--seed", "5",
+    calls = [["curve-body", "tropical", "--input", tropical, "--svg", "fig.svg",
               "--output", "first.json"],
-             ["verify", "--input", verify, "--output", "second.json"]]
+             ["verify", "--input", verify, "--seed", "5", "--output", "second.json"]]
     together, alone = tmp_path / "together", tmp_path / "alone"
     together.mkdir()
     alone.mkdir()

@@ -1,10 +1,11 @@
-"""Every job example in README.md runs through the CLI."""
+"""Every job example in README.md runs through the CLI, and README's CLI
+synopsis lists exactly the options each subcommand takes."""
 
 import json
 import os
 import re
 
-from okbodies.cli import main
+from okbodies.cli import _PARSER, main
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -32,3 +33,19 @@ def test_readme_jobs_run(tmp_path):
         path.write_text(json.dumps(job))
         argv = _argv(job) + ["--input", str(path), "--output", str(tmp_path / f"r{k}.json")]
         assert main(argv) == 0, f"README job {k} ({job['kind']}) failed"
+
+
+def test_readme_synopsis_lists_each_subcommands_options():
+    with open(README) as fh:
+        text = fh.read()
+    synopsis = re.search(r"^## CLI\n.*?^```\n(.*?)^```", text, flags=re.S | re.M).group(1)
+    listed = {}
+    for line in synopsis.splitlines():
+        words = line.split()
+        if words[0] == "okbodies":
+            command = words[1]
+        listed.setdefault(command, set()).update(re.findall(r"--[a-z]+", line))
+    (subs,) = [a for a in _PARSER._actions if a.dest == "command"]
+    taken = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, sub in subs.choices.items()}
+    assert listed == taken

@@ -78,6 +78,51 @@ def test_against_class_oracle():
         assert has_nonnegative_rank(g, lam) == oracle.has_nonnegative_rank(lam)
 
 
+def _reference_adjugate(red):
+    """(|det|, |det| * red^-1) of a nonsingular matrix by plain Fraction
+    Gauss-Jordan elimination."""
+    k = len(red)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(k)]
+           for i, row in enumerate(red)]
+    det = Fraction(1)
+    for c in range(k):
+        r = next(r for r in range(c, k) if aug[r][c])
+        if r != c:
+            aug[c], aug[r] = aug[r], aug[c]
+            det = -det
+        det *= aug[c][c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c]:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    return abs(det), [[abs(det) * v for v in row[k:]] for row in aug]
+
+
+def test_class_oracle_adjugate_against_a_fraction_reference():
+    # seeded multigraphs with n = 1..8 vertices: a spanning tree plus extra
+    # edges, parallel edges and loops among them
+    rng = random.Random(71)
+    parallels = loops = 0
+    for n in range(1, 9):
+        for _ in range(6):
+            names = [f"v{i}" for i in range(n)]
+            edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+            edges += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, n))]
+            g = Graph(names, edges)
+            loops += any(u == w for u, w in g.edges)
+            parallels += len(set(g.edges)) < len(g.edges)
+            oracle = RankOracle(g)
+            if n == 1:
+                assert (oracle.det, oracle.adjugate) == (1, [])
+                continue
+            red = [row[1:] for row in g.laplacian_matrix()[1:]]
+            det, adj = _reference_adjugate(red)
+            assert oracle.det == det
+            assert oracle.adjugate == adj
+            assert all(type(v) is int for row in oracle.adjugate for v in row)
+    assert parallels >= 10 and loops >= 10
+
+
 def test_non_integer_rejected():
     g = Graph(["a", "b"], [("a", "b")])
     with pytest.raises(NonIntegerDivisor):

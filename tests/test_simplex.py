@@ -226,6 +226,26 @@ def test_direction_unconstrained_and_non_optimal():
     assert (out.basic, out.tableau_value, out.slope) == (None, None, None)
 
 
+@pytest.mark.parametrize("objective, sense, ray", [
+    ([1, 2], "min", (-1, 0)), ([1, 2], "max", (1, 0)),
+    ([0, F(-1, 3), 5], "min", (0, 1, 0)), ([0, F(-1, 3), 5], "max", (0, 0, 1)),
+])
+def test_unconstrained_lp_gets_a_checked_ray(monkeypatch, objective, sense, ray):
+    # no rows and a nonzero objective: Bland's first column of negative
+    # internal cost gives the ray, and the ray passes the same check as
+    # any other
+    checked = []
+
+    def check_ray(ints, cost, r):
+        checked.append(tuple(r))
+        return _check_ray(ints, cost, r)
+    monkeypatch.setattr("okbodies.simplex._check_ray", check_ray)
+    out = solve_raw([], objective, sense)
+    assert (out.status, out.certificate, checked) == (UNBOUNDED, ray, [ray])
+    gain = sum(c * r for c, r in zip(objective, ray))
+    assert gain < 0 if sense == "min" else gain > 0
+
+
 def _validity(basic):
     """The s-interval on which every basic value p + s*q stays >= 0."""
     lo = max((-p / q for p, q in basic if q > 0), default=None)
@@ -493,6 +513,13 @@ def test_tampered_value_fails_the_face_check():
     assert reoptimize(out, [1, -1], "max").value == 0
     with pytest.raises(ConsistencyError, match="leaves the optimal face"):
         reoptimize(replace(out, value=out.value + 1), [1, -1], "max")
+    # min x over x >= 0, y free: the face x = 0 holds the ray (0, -1) of
+    # min y; read against a tampered cost, that ray leaves the face
+    out = solve_raw([([1, 0], 0)], [1, 0], "min")
+    assert reoptimize(out, [0, 1], "min").certificate == (0, -1)
+    tampered = replace(out, tableau=out.tableau._replace(cost=[1, 1]))
+    with pytest.raises(ConsistencyError, match="ray leaves the optimal face"):
+        reoptimize(tampered, [0, 1], "min")
 
 
 def test_reoptimize_refuses_an_outcome_read_past_its_rhs():

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -127,3 +128,21 @@ def test_decimal_rule_keeps_caller_context():
         assert decimal.getcontext().prec == 7
     finally:
         ctx.prec = saved
+
+
+# bodies whose rays reach every window side, each SVG's SHA-256 pinned;
+# a hatched window edge gets 8 hatch marks
+@pytest.mark.parametrize("vertices, rays, window, marks, sha", [
+    ([(0, 0)], [(1, 0), (0, 1), (-1, 0), (0, -1)], (-2, 3, -1, 2), 32,
+     "f42fe198493604e64789e26938c42dfa423f33d6f1645d109d668ba4238acef9"),
+    ([(1, 1)], [(-1, 0), (0, -1)], (-2, 2, -2, 2), 16,
+     "07405e8ae1ec58ec060afe10e1e4ef22ba99c784cbe3444e39a2702263424d68"),
+    ([(0, 0)], [(1, 0), (-1, 0), (0, 1)], (F(-3, 2), 2, -1, F(5, 2)), 24,
+     "b537bfc1cd41ce7eaa65e62c0cb1ae85daebd622ac1fbc947e0fdc4def507457"),
+    ([(0, 0), (1, -1)], [(2, 1), (1, -3)], (-1, 4, -3, 3), 16,
+     "f81a84552a0044579da4521810e5501de0efa7304e835418f61cf263eaacf2b0"),
+], ids=["plane", "lower-left", "upper-half", "right-wedge"])
+def test_hatch_marks_on_every_side(vertices, rays, window, marks, sha):
+    svg = render_svg(VPolyhedron(vertices, rays), window)
+    assert svg.count("stroke:#888") == marks
+    assert hashlib.sha256(svg.encode()).hexdigest() == sha

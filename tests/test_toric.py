@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from okbodies import toric
-from okbodies.errors import (FlagRayUnknown, NotABasis,
+from okbodies.errors import (DimensionMismatch, FlagRayUnknown, NotABasis,
                              OutsideGenericPolytope, UnboundedGenericPolytope)
 from okbodies.polyhedra import (VPolyhedron, enumerate_v_rep, project_out,
                                 vrep_equal)
@@ -285,3 +285,23 @@ def test_lattice_saturation():
 def test_lattice_point_count():
     assert lattice_point_count(build_generic_polytope(model_d1())) == 2
     assert lattice_point_count(build_generic_polytope(model_d2())) == 9
+
+
+@pytest.mark.parametrize("vec, expected", [
+    ((3, -2), (3, -2)),
+    ((Fraction(6, 2), Fraction(-2)), (3, -2)),
+    ((3.0, -2.0), (3, -2)),
+    ((True, False), (1, 0)),
+    (("3", "-2"), (3, -2)),
+])
+def test_integer_vectors_accepted(vec, expected):
+    out = toric._ivec(vec, 2, "vector")
+    assert out == expected and all(type(x) is int for x in out)
+
+
+@pytest.mark.parametrize("vec", [
+    (Fraction(1, 2), 0), (0, 2.5), (1,), (1, 2, 3),
+], ids=["fraction", "float", "short", "long"])
+def test_non_integer_vectors_refused(vec):
+    with pytest.raises(DimensionMismatch, match="must be an integer vector of length 2"):
+        toric._ivec(vec, 2, "vector")

@@ -9,7 +9,7 @@
     okbodies verify --input job.json [--output out.json] [--seed N]
 
 Each subcommand takes only the options shown; any other is a usage error,
-refused before the job file is read.
+refused with that subcommand's usage before the job file is read.
 
 Exit codes: 0 success, 2 empty-system outcomes and usage errors, 1 errors
 (internal errors included, reported as "internal error: ..." on stderr;
@@ -36,6 +36,7 @@ def _subcommand(subs, name, summary, body=False):
     """A subcommand with --input and --output, and with --svg and --window
     when it computes a body."""
     sub = subs.add_parser(name, help=summary)
+    sub.set_defaults(subparser=sub)
     sub.add_argument("--input", required=True, help="job JSON file")
     sub.add_argument("--output", help="write the result JSON here (default stdout)")
     if body:
@@ -117,7 +118,11 @@ def _write(path, text) -> None:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:
+        # refused by the subcommand's own parser, whose usage line shows
+        # the options it takes; exits 2
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         with open(args.input) as fh:
             text = fh.read()

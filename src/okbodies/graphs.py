@@ -8,7 +8,7 @@ loops contribute nothing to the Laplacian.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
@@ -29,23 +29,24 @@ class Graph:
         if not vertices:
             raise Disconnected("graph needs at least one vertex")
         self.vertices = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
+        self._index = index = {v: i for i, v in enumerate(vertices)}
         norm = []
         for (u, w) in edges:
-            if u not in self._index or w not in self._index:
+            i, j = index.get(u), index.get(w)
+            if i is None or j is None:
                 raise UnknownVertex(f"edge ({u!r}, {w!r}) uses an undeclared vertex")
-            i, j = sorted((self._index[u], self._index[w]))
-            norm.append((i, j))
+            norm.append((i, j) if i <= j else (j, i))
         norm.sort()
-        self.edges = tuple((vertices[i], vertices[j]) for i, j in norm)
+        # tuples from lists, not generators: see linalg.int_rows
+        self.edges = tuple([(vertices[i], vertices[j]) for i, j in norm])
         # neighbours[i]: (j, number of edges ij) for j != i, in vertex
         # order; loops never move chips, so they appear only in `edges`
-        counts = [Counter() for _ in vertices]
+        counts = [{} for _ in vertices]
         for i, j in norm:
             if i != j:
-                counts[i][j] += 1
-                counts[j][i] += 1
-        self.neighbours = tuple(tuple(sorted(c.items())) for c in counts)
+                counts[i][j] = counts[i].get(j, 0) + 1
+                counts[j][i] = counts[j].get(i, 0) + 1
+        self.neighbours = tuple([tuple(sorted(c.items())) for c in counts])
         dist = self.distances_from(vertices[0])
         if None in dist:
             missing = [v for v, k in zip(vertices, dist) if k is None]
@@ -103,6 +104,11 @@ class Graph:
         return f"Graph(vertices={list(self.vertices)!r}, edges={len(self.edges)})"
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction, x itself when it is one."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class VertexVector:
     """A total map from vertices to exact rationals, stored in vertex order."""
 
@@ -115,9 +121,9 @@ class VertexVector:
             missing = set(graph.vertices) - set(values)
             if missing:
                 raise UnknownVertex(f"no value for vertices: {sorted(missing)}")
-            self.values = tuple(Fraction(values[v]) for v in graph.vertices)
+            self.values = tuple([_fraction(values[v]) for v in graph.vertices])
         else:
-            vals = tuple(Fraction(v) for v in values)
+            vals = tuple([_fraction(v) for v in values])
             if len(vals) != len(graph.vertices):
                 raise UnknownVertex("value vector length does not match vertex count")
             self.values = vals

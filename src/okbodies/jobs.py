@@ -19,6 +19,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 from typing import Optional
 
@@ -133,6 +134,8 @@ class JobFile:
 
 @dataclass(frozen=True)
 class ResultFile:
+    # the job as written out, without the domain objects it was run on: a
+    # result kept for its document does not keep its graph too
     job: JobFile
     status: str            # "ok" | "empty"
     result: dict
@@ -185,37 +188,48 @@ def parse_window(values, name: str) -> tuple:
     must have x0 < x1 and y0 < y1; errors name the field `name`."""
     if len(values) != 4:
         raise OkbodiesError(f"{name} needs four rationals x0, x1, y0, y1")
-    window = tuple(_rational(w, f"{name}[{i}]") for i, w in enumerate(values))
+    window = tuple(_rational(w, name, i) for i, w in enumerate(values))
     x0, x1, y0, y1 = window
     if not (x0 < x1 and y0 < y1):
         raise WindowEmpty(f"{name} needs x0 < x1 and y0 < y1")
     return window
 
 
-def _rational(q, field: str):
+def _rational(q, name: str, key):
+    """parse_rational(q); an error names the field name[key]."""
     try:
         return parse_rational(q)
     except OkbodiesError as exc:
-        raise type(exc)(f"in {field}: {exc}") from exc
+        raise type(exc)(f"in {name}[{key!r}]: {exc}") from exc
 
 
 def _parse_graph(gdoc, path: tuple) -> Graph:
+    # each item is checked in one pass; its path and message are built
+    # only to report the first one that fails
     _object(gdoc, path, ("vertices", "edges"), ())
     vertices = _array(gdoc["vertices"], path + ("vertices",), 1)
-    for i, v in enumerate(vertices):
-        _scalar(v, path + ("vertices", i), str)
+    if not all(type(v) is str for v in vertices):
+        for i, v in enumerate(vertices):
+            _scalar(v, path + ("vertices", i), str)
     edges = _array(gdoc["edges"], path + ("edges",))
-    for i, e in enumerate(edges):
-        for j, v in enumerate(_array(e, path + ("edges", i), 2, 2)):
-            _scalar(v, path + ("edges", i, j), str)
-    return Graph(vertices, [tuple(e) for e in edges])
+    if not all(type(e) is list and len(e) == 2 and type(e[0]) is str
+               and type(e[1]) is str for e in edges):
+        for i, e in enumerate(edges):
+            for j, v in enumerate(_array(e, path + ("edges", i), 2, 2)):
+                _scalar(v, path + ("edges", i, j), str)
+    return Graph(vertices, edges)
 
 
 def _parse_vertexmap(g: Graph, doc, path: tuple, cls):
     field = ".".join(path[1:])  # below "payload"
     parsed = {}
     for v, q in _object(doc, path).items():
-        parsed[v] = _rational(_scalar(q, path + (v,), int, str), f"{field}[{v!r}]")
+        if type(q) is int:
+            parsed[v] = Fraction(q)
+        elif type(q) is str:
+            parsed[v] = _rational(q, field, v)
+        else:
+            _scalar(q, path + (v,), int, str)  # raises
     try:
         return cls(g, parsed)
     except UnknownVertex as exc:
@@ -350,7 +364,8 @@ def run_job(job: JobFile, seed: Optional[int] = None) -> ResultFile:
     t0 = time.perf_counter()
     status, result, warnings, body = _dispatch(job, seed)
     seconds = time.perf_counter() - t0
-    return ResultFile(job, status, result, tuple(warnings), seconds, body)
+    return ResultFile(JobFile(job.kind, job.payload, job.options, ()),
+                      status, result, tuple(warnings), seconds, body)
 
 
 def _dispatch(job: JobFile, seed):

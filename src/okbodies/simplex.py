@@ -52,8 +52,9 @@ route reads them.
 
 Phase 2: one routine prices a cost row on a tableau with a feasible
 basis and runs Bland's rule over given candidate columns, checking the
-ray or the witness it ends with.  A cold solve is phase 1 followed by
-that phase 2, from the phase-1 basis with every structural column a
+ray when it ends unbounded; otherwise its caller reads the witness with
+`_point`, in integers.  A cold solve is phase 1 followed by that
+phase 2, from the phase-1 basis with every structural column a
 candidate; an unconstrained LP is no special case (with no rows, the
 first column of negative cost gives the ray).
 
@@ -83,7 +84,7 @@ from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, DimensionMismatch
-from .linalg import dot, eliminate, int_dot, int_rows, pivot
+from .linalg import eliminate, int_dot, int_rows, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -287,16 +288,17 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         tab[i], dens[i] = row, dens[i] // g
 
     # phase 2 from the phase-1 basis, every structural column a candidate
-    return _phase2(_Tableau(tab, dens, basis, given, given_dens, cost, cost_den, sign,
-                            range(nstruct)))
+    start = _Tableau(tab, dens, basis, given, given_dens, cost, cost_den, sign,
+                     range(nstruct))
+    return _phase2(start) or _optimal(start, _ZERO, *_point(start, _ZERO))
 
 
-def _phase2(start):
+def _phase2(start) -> Optional[LPOutcome]:
     """Phase 2 in place on the lists of `start`, a tableau whose basis is
     feasible and whose cost fields hold the cost to optimise: prices that
     cost into the reduced-cost row and runs Bland's rule over start.cols.
-    UNBOUNDED with a ray that passed `_check_ray`, or OPTIMAL with a
-    witness that passed `_point`, keeping `start` as its final tableau."""
+    UNBOUNDED with a ray that passed `_check_ray`, or None when `start`
+    has become a final tableau, whose point `_point` reads."""
     tab, dens, basis, cost = start.rows, start.dens, start.basis, start.cost
     m = len(basis)
     # the rhs entry of the reduced-cost row is minus the internal value;
@@ -304,11 +306,11 @@ def _phase2(start):
     tab[m], dens[m] = _price(tab, dens, basis, cost + [-c for c in cost] + [0] * (m + 2),
                              start.cost_den)
     entering = _run_simplex(tab, dens, basis, start.cols)
-    if entering is not None:
-        ray = _ray(tab, dens, basis, entering, len(cost))
-        _check_ray(start.given, cost, ray)
-        return LPOutcome(UNBOUNDED, certificate=tuple(ray))
-    return _optimal(start, _ZERO, *_point(start, _ZERO))
+    if entering is None:
+        return None
+    ray = _ray(tab, dens, basis, entering, len(cost))
+    _check_ray(start.given, cost, ray)
+    return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
 
 def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
@@ -333,15 +335,20 @@ def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
         raise DimensionMismatch(f"objective has {len(objective)} entries, expected {n}")
     cost, cost_den, sign = _cost(objective, sense)
     cols = [j for j in old.cols if old.rows[-1][j] == 0]
-    new = _phase2(old._replace(rows=old.rows[:], dens=old.dens[:], basis=old.basis[:],
-                               cost=cost, cost_den=cost_den, sign=sign, cols=cols))
-    if new.status == UNBOUNDED:
-        if dot(old.cost, new.certificate) != 0:
+    new = old._replace(rows=old.rows[:], dens=old.dens[:], basis=old.basis[:],
+                       cost=cost, cost_den=cost_den, sign=sign, cols=cols)
+    unbounded = _phase2(new)
+    if unbounded is not None:
+        (ray,), _ = int_rows([unbounded.certificate])
+        if int_dot(old.cost, ray) != 0:
             raise ConsistencyError("re-optimised ray leaves the optimal face")
-    elif dot(old.cost, new.witness) != old.sign * out.value * old.cost_den:
-        # out's internal cost at the new point keeps out's value
+        return unbounded
+    x, den = _point(new, _ZERO)
+    # out's internal cost at the new point, x over den, keeps out's value
+    value = old.sign * out.value
+    if int_dot(old.cost, x) * value.denominator != value.numerator * old.cost_den * den:
         raise ConsistencyError("re-optimised witness leaves the optimal face")
-    return new
+    return _optimal(new, _ZERO, x, den)
 
 
 def continue_along(out: LPOutcome, s) -> LPOutcome:

@@ -624,7 +624,10 @@ def test_foreign_options_are_usage_errors(tmp_path, capsys, monkeypatch, argv, o
         run(argv + ["--input", jobpath("quartic-rank.json"), option, "1",
                     "--output", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option} 1" in err
+    # the usage line is the subcommand's, not the top-level one
+    assert err.startswith(f"usage: okbodies {argv[0]} ")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from okbodies import linalg
+from okbodies import linalg, rank
 from okbodies.errors import NonIntegerDivisor
 from okbodies.graphs import Divisor, Graph
 from okbodies.jobs import parse_job, run_job
@@ -291,3 +291,51 @@ def test_energy_step_on_the_rank_sweep_ladders(solves):
                 assert red == _reference_q_reduced(g, lam, q)
                 reductions += 1
     assert 50 < len(solves) < reductions - 50
+
+
+@pytest.fixture
+def dhar_rounds(monkeypatch, solves):
+    """(whether the energy step ran, Dhar rounds fired) of each reduction;
+    the step makes one solve."""
+    seen = []
+    dhar = rank._dhar
+
+    def counted(d, nbrs, q):
+        stepped = len(solves) > sum(s for s, _ in seen)
+        fired = dhar(d, nbrs, q)
+        seen.append((stepped, fired))
+        return fired
+
+    monkeypatch.setattr(rank, "_dhar", counted)
+    return seen
+
+
+def test_dhar_fires_no_round_after_the_energy_step(dhar_rounds):
+    # borrowing lands the energy step exactly on the reduced divisor, so
+    # Dhar burning then burns every vertex at once.  On the rank-sweep
+    # ladders and divisors, at bases other than v0 mostly, and on
+    # multigraphs with loops at every base with |Lam(v)| <= 10^6, against
+    # the reduction without the energy step
+    rng = random.Random(1)
+    for n in (8, 12, 16, 20, 24):
+        g = _ladder_graph(rng, n)
+        for k in range(48):
+            bound = 3 if k % 2 == 0 else 4 * n
+            lam = [rng.randint(-bound, bound) for _ in range(n)]
+            q = (7 * k + 3) % n
+            red = q_reduced(g, Divisor(g, lam), g.vertices[q])
+            assert red == _reference_q_reduced(g, lam, q)
+    rng = random.Random(83)
+    loops = 0
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=6, max_extra_edges=8)
+        loops += any(u == w for u, w in g.edges)
+        lam = [rng.randint(-10 ** 6, 10 ** 6) for _ in g.vertices]
+        for q, base in enumerate(g.vertices):
+            red = q_reduced(g, Divisor(g, lam), base)
+            assert red == _reference_q_reduced(g, lam, q)
+    stepped = [fired for took, fired in dhar_rounds if took]
+    assert loops > 5 and len(stepped) > 150
+    assert stepped == [0] * len(stepped)
+    # below the gate Dhar burning does fire: the count sees its rounds
+    assert sum(fired for took, fired in dhar_rounds if not took) > 1000

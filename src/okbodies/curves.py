@@ -122,11 +122,38 @@ class NOBody2D:
     recession: Tuple[Fraction, Fraction]
     warnings: Tuple[str, ...] = ()
 
+    @property
+    def boundary(self) -> PiecewiseLinearFunction:
+        """The function the body is bounded by: `lower` for an overgraph,
+        `upper` for a band (whose lower side is y = 0)."""
+        return self.lower if self.kind == "overgraph" else self.upper
+
     def contains(self, point) -> bool:
         t, y = Fraction(point[0]), Fraction(point[1])
+        f = self.boundary
+        if not f.in_domain(t):
+            return False
         if self.kind == "overgraph":
-            return self.lower.in_domain(t) and y >= self.lower.value_at(t)
-        return self.upper.in_domain(t) and 0 <= y <= self.upper.value_at(t)
+            return y >= f.value_at(t)
+        return 0 <= y <= f.value_at(t)
+
+    def halfplanes(self):
+        """The body as rows ((a_t, a_y), b), a.(t, y) >= b: one per piece
+        of the boundary (y above it for an overgraph, below it for a band),
+        y >= 0 for a band, and the ends of the boundary's domain.  A
+        one-point domain reads as one piece of slope 0, which pins y to
+        its side of the value there."""
+        f = self.boundary
+        sign = 1 if self.kind == "overgraph" else -1
+        # sign (y - v - m (x - t)) >= 0 at a point (x, y), (t, v) the piece's left end
+        rows = [((-sign * m, sign), sign * (v - m * t))
+                for (t, v), m in zip(f.breakpoints, f.slopes() or [0])]
+        if self.kind == "band":
+            rows.append(((0, 1), 0))
+        rows.append(((1, 0), f.domain_start))
+        if f.tail_slope is None:
+            rows.append(((-1, 0), -f.breakpoints[-1][0]))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -433,8 +460,7 @@ def _disagreement(body: NOBody2D, check) -> str:
         return f"the parametric route finds {check}"
     if check.kind != body.kind:
         return f"kinds {body.kind} vs {check.kind}"
-    name = "lower" if body.kind == "overgraph" else "upper"
-    t = _first_disagreement(getattr(body, name), getattr(check, name))
+    t = _first_disagreement(body.boundary, check.boundary)
     if t is not None:
         return f"first disagreement at t = {t}"
     return f"different warnings: {body.warnings} vs {check.warnings}"
@@ -459,9 +485,10 @@ def cross_verify(job: CurveBodyJob) -> VerificationReport:
             f"vertices; this graph has {n}")
     body = combinatorial_body(job)
     if body.kind == "overgraph":
-        kind, route, proj = "tropical", body.lower, tropical_body_projection(job)
+        kind, proj = "tropical", tropical_body_projection(job)
     else:
-        kind, route, proj = "arakelov", body.upper, arakelov_body_projection(job)
+        kind, proj = "arakelov", arakelov_body_projection(job)
+    route = body.boundary
     agree = route == proj
     return VerificationReport(kind, agree, route, proj,
                               None if agree else _first_disagreement(route, proj), body)

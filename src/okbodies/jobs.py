@@ -160,7 +160,13 @@ class ResultFile:
 
     @property
     def exit_code(self) -> int:
-        return EXIT_EMPTY if self.status == "empty" else EXIT_OK
+        """The CLI's exit code: EXIT_EMPTY for an empty system, EXIT_ERROR
+        for a verify job with a failing check, else EXIT_OK."""
+        if self.status == "empty":
+            return EXIT_EMPTY
+        if self.job.kind == "verify" and not self.result["pass"]:
+            return EXIT_ERROR
+        return EXIT_OK
 
 
 def parse_job(text: str) -> JobFile:
@@ -374,13 +380,13 @@ def _dispatch(job: JobFile, seed):
         return (*_run_linsys(*job.parsed), None)
     if job.kind == "rank":
         g, lam, base = job.parsed
-        reduced = rank.q_reduced(g, lam, base)
+        reduced = dict(zip(g.vertices, rank.q_reduced(g, lam, base)))
         # reduced is non-negative off the base and keeps the degree, so
         # its value at the base decides the rank, deg < 0 included
         return "ok", {
-            "rank_nonnegative": reduced[g.index(base)] >= 0,
+            "rank_nonnegative": reduced[base] >= 0,
             "base": base,
-            "reduced": {v: c for v, c in zip(g.vertices, reduced)},
+            "reduced": reduced,
         }, [], None
     if job.kind == "curve-body":
         try:
@@ -430,10 +436,9 @@ def _verify_curve_job(cjob: curves.CurveBodyJob, checks, label=""):
     _check(checks, f"{prefix}dual-algorithm", report.agree,
            "" if report.agree else f"first disagreement at t = {report.first_disagreement}")
     body = report.body
-    f = body.lower if body.kind == "overgraph" else body.upper
     closed = all(
         body.contains((t + body.recession[0], v + body.recession[1]))
-        for t, v in f.breakpoints)
+        for t, v in body.boundary.breakpoints)
     _check(checks, f"{prefix}recession-closure", closed)
 
 

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-INF = "inf"
-
-
 @dataclass(frozen=True)
 class PiecewiseLinearFunction:
     breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
@@ -45,13 +42,6 @@ class PiecewiseLinearFunction:
     @property
     def domain_start(self) -> Fraction:
         return self.breakpoints[0][0]
-
-    @property
-    def domain_end(self):
-        """Last abscissa, or the string "inf" when unbounded to the right."""
-        if self.tail_slope is not None:
-            return INF
-        return self.breakpoints[-1][0]
 
     def slopes(self):
         out = []

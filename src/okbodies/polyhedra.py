@@ -1,5 +1,7 @@
 """Exact convex polyhedra: H- and V-representations, LP, Fourier-Motzkin
-projection, brute-force vertex/ray enumeration, and affine images.
+projection, brute-force vertex/ray enumeration, and the canonical form,
+membership and equality tests of V-representations.  Maps of polyhedra
+live with their one user: the toric flag map in `toric`.
 
 Conventions: an HPolyhedron in R^d is a list of constraints a.x >= b.
 A VPolyhedron is conv(vertices) + cone(rays).  Emptiness is a status,
@@ -227,26 +229,6 @@ def enumerate_v_rep(p: HPolyhedron) -> VPolyhedron:
             if all(linalg.int_dot(row, cand) >= 0 for row in work):
                 rays.add(tuple(cand))
     return VPolyhedron(sorted(vertices), sorted(rays))
-
-
-def affine_image(v: VPolyhedron, linear, offset) -> VPolyhedron:
-    """Image under x -> M x + c; rays map without the offset."""
-    if v.dimension is not None:
-        for row in linear:
-            if len(row) != v.dimension:
-                raise DimensionMismatch("matrix columns must match input dimension")
-    mat = [list(_vec(row)) for row in linear]
-    off = _vec(offset)
-    if len(off) != len(mat):
-        raise DimensionMismatch("offset length must match matrix rows")
-    verts = sorted({tuple(x + o for x, o in zip(linalg.mat_vec(mat, pt), off))
-                    for pt in v.vertices})
-    rays = set()
-    for r in v.rays:
-        img = linalg.primitive_direction(linalg.mat_vec(mat, r))
-        if any(x != 0 for x in img):
-            rays.add(img)
-    return VPolyhedron(verts, sorted(rays))
 
 
 def canonicalize_vrep(v: VPolyhedron) -> VPolyhedron:

@@ -77,14 +77,10 @@ def q_reduced(g: Graph, lam: Divisor, base: Optional[str] = None) -> List[int]:
 
 
 def has_nonnegative_rank(g: Graph, lam: Divisor, base: Optional[str] = None) -> bool:
-    """True iff some integer phi >= 0 has laplacian(phi) + lam >= 0."""
-    if not lam.is_integral():
-        raise NonIntegerDivisor("non-negative rank is defined for integer divisors")
-    d = [v.numerator for v in lam.values]
-    if sum(d) < 0:
-        return False
-    q = g.index(base) if base is not None else 0
-    return _reduce(g, d, q)[q] >= 0
+    """True iff some integer phi >= 0 has laplacian(phi) + lam >= 0: iff
+    the reduced divisor, which keeps the degree and is >= 0 off the base,
+    is >= 0 at the base too (so a divisor of degree < 0 reads False)."""
+    return q_reduced(g, lam, base)[g.index(base) if base is not None else 0] >= 0
 
 
 def _borrow(d: List[int], nbrs, deg, q: int) -> None:

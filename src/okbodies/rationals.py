@@ -44,14 +44,6 @@ def format_rational(q: Fraction):
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_str(q: Fraction) -> str:
-    """Always-string form, for labels."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def to_decimal20(q: Fraction) -> str:
     """Decimal form with 20 significant digits, for SVG coordinates only."""
     d = Context(prec=20).divide(Decimal(q.numerator), Decimal(q.denominator))

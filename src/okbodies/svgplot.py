@@ -1,10 +1,13 @@
 """SVG 1.1 rendering of 2-D bodies.
 
-The body (an NOBody2D or a 2-D VPolyhedron) is intersected exactly with
-the rational viewing window; the clipped polygon is drawn filled, with
-hatch marks on every window edge that truncates an unbounded direction.
-All coordinates are produced from exact rationals by one rule
-(20 significant decimal digits); breakpoint labels show the exact "p/q".
+The body is intersected exactly with the rational viewing window as
+half-planes: an NOBody2D gives its own (`NOBody2D.halfplanes`, labelled
+at the breakpoints of `NOBody2D.boundary`); a 2-D VPolyhedron's are
+built here from its generator pairs (labelled at its vertices).  The
+clipped polygon is drawn filled, with hatch marks on every window edge
+that truncates an unbounded direction.  All coordinates are produced
+from exact rationals by one rule (20 significant decimal digits); labels
+show the exact Fraction text, "p/q" or "p".
 """
 
 from __future__ import annotations
@@ -16,46 +19,9 @@ from typing import List, Tuple
 from .curves import NOBody2D
 from .errors import DimensionMismatch, WindowEmpty
 from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep
-from .rationals import rational_str, to_decimal20
+from .rationals import to_decimal20
 
 WIDTH, HEIGHT, MARGIN = 640, 480, 50
-
-
-def _plf_halfplanes(plf, above: bool) -> List[Tuple[Tuple[Fraction, Fraction], Fraction]]:
-    """Halfplanes whose intersection is the epigraph (above=True) or
-    hypograph of a convex resp. concave piecewise linear function."""
-    rows = []
-    bps = plf.breakpoints
-    sgn = Fraction(1) if above else Fraction(-1)
-    segs = list(zip(bps, bps[1:]))
-    for (t0, v0), (t1, v1) in segs:
-        slope = (v1 - v0) / (t1 - t0)
-        # y >= v0 + slope (t - t0)  <=>  -slope t + y >= v0 - slope t0
-        rows.append(((sgn * -slope, sgn), sgn * (v0 - slope * t0)))
-    if plf.tail_slope is not None:
-        t0, v0 = bps[-1]
-        slope = plf.tail_slope
-        rows.append(((sgn * -slope, sgn), sgn * (v0 - slope * t0)))
-    if not segs and plf.tail_slope is None:
-        # single point domain: y == value
-        t0, v0 = bps[0]
-        rows.append(((Fraction(0), sgn), sgn * v0))
-    return rows
-
-
-def _body_halfplanes(body: NOBody2D) -> List[Tuple[Tuple[Fraction, Fraction], Fraction]]:
-    rows = []
-    if body.kind == "overgraph":
-        f = body.lower
-        rows.extend(_plf_halfplanes(f, above=True))
-    else:
-        f = body.upper
-        rows.extend(_plf_halfplanes(f, above=False))
-        rows.append(((Fraction(0), Fraction(1)), Fraction(0)))  # y >= 0
-    rows.append(((Fraction(1), Fraction(0)), f.domain_start))
-    if f.domain_end != "inf":
-        rows.append(((Fraction(-1), Fraction(0)), -f.domain_end))
-    return rows
 
 
 def _vpoly_halfplanes(v: VPolyhedron) -> List[Tuple[Tuple[Fraction, Fraction], Fraction]]:
@@ -155,8 +121,7 @@ def _axes(cv: _Canvas):
         cv.line((Fraction(0), cv.y0), (Fraction(0), cv.y1), style)
     if cv.y0 <= 0 <= cv.y1:
         cv.line((cv.x0, Fraction(0)), (cv.x1, Fraction(0)), style)
-    cv.text((cv.x0, cv.y0), f"[{rational_str(cv.x0)},{rational_str(cv.x1)}] x "
-                            f"[{rational_str(cv.y0)},{rational_str(cv.y1)}]", dy="14")
+    cv.text((cv.x0, cv.y0), f"[{cv.x0!s},{cv.x1!s}] x [{cv.y0!s},{cv.y1!s}]", dy="14")
 
 
 def _hatch(cv: _Canvas, polygon, side: str):
@@ -206,9 +171,9 @@ def render_svg(body, window) -> str:
     _axes(cv)
 
     if isinstance(body, NOBody2D):
-        rows = _body_halfplanes(body)
+        rows = body.halfplanes()
         rays = [body.recession]
-        labels = (body.lower if body.kind == "overgraph" else body.upper).breakpoints
+        labels = body.boundary.breakpoints
     elif isinstance(body, VPolyhedron):
         if not body.is_empty() and body.dimension != 2:
             raise DimensionMismatch(
@@ -239,7 +204,7 @@ def render_svg(body, window) -> str:
             if x0 <= t <= x1 and y0 <= v <= y1:
                 cv.parts.append(
                     f'<circle cx="{cv.px(t)}" cy="{cv.py(v)}" r="2.5" fill="#e6550d"/>')
-                cv.text((t, v), f"({rational_str(t)}, {rational_str(v)})")
+                cv.text((t, v), f"({t!s}, {v!s})")
 
     cv.parts.append("</svg>")
     return "\n".join(cv.parts) + "\n"

@@ -23,7 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Tuple
 
@@ -31,8 +30,7 @@ from . import linalg
 from .errors import (ConsistencyError, DimensionMismatch, DimensionTooLarge,
                      FlagRayUnknown, InvalidToricModel, NotABasis,
                      OutsideGenericPolytope, UnboundedGenericPolytope)
-from .polyhedra import (HPolyhedron, VPolyhedron, in_cone, affine_image,
-                        enumerate_v_rep)
+from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep, in_cone
 
 IntVec = Tuple[int, ...]
 
@@ -43,13 +41,6 @@ def _ivec(v, d, what) -> IntVec:
     if len(out) != d or any(type(x) is not int and Fraction(x) != y for x, y in zip(v, out)):
         raise DimensionMismatch(f"{what} must be an integer vector of length {d}")
     return out
-
-
-def _is_primitive(v: IntVec) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g == 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,7 @@ class ToricModel:
         if not vv:
             raise InvalidToricModel("a model needs at least one vertical vertex")
         for u, _ in gr:
-            if not _is_primitive(u):
+            if math.gcd(*u) != 1:
                 raise InvalidToricModel(f"generic ray {u} is not primitive")
         rays = [u for u, _ in gr]
         for i in range(d):
@@ -162,10 +153,17 @@ def psi_value(model: ToricModel, m) -> Fraction:
 
 
 def toric_body_vertexmap(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
-    """Body as the affine image of the V-representation of P_model."""
+    """Body as the image of P_model's V-representation under the flag map
+    x = W.(m, h) + a, rays without the offset.  W has just been validated
+    as unimodular, so distinct vertices stay distinct and primitive rays
+    stay primitive: the image only needs sorting."""
     flag.validate(model)
-    return affine_image(enumerate_v_rep(build_model_polyhedron(model)),
-                        [w for w, _ in flag.rays], [a for _, a in flag.rays])
+    vrep = enumerate_v_rep(build_model_polyhedron(model))
+
+    def image(x, offset):
+        return tuple([sum(map(mul, w, x)) + offset * a for w, a in flag.rays])
+    return VPolyhedron(sorted([image(v, 1) for v in vrep.vertices]),
+                       sorted([image(r, 0) for r in vrep.rays]))
 
 
 def toric_body_halfspaces(model: ToricModel, flag: ToricFlag) -> HPolyhedron:
@@ -205,7 +203,7 @@ def toric_body(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
     canonically: its vertices, and its extreme rays as primitive integer
     vectors, each sorted.  W maps the vertices of P_model onto the
     vertices of the image, and primitive extreme rays onto primitive
-    extreme rays, and affine_image sorts both.  Being stricter than set
+    extreme rays, and the vertex map sorts both.  Being stricter than set
     equality, the comparison can raise where vrep_equal would not, but
     can never accept a wrong body."""
     body = toric_body_vertexmap(model, flag)

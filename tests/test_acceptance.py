@@ -306,7 +306,7 @@ def test_acceptance_10_structural_invariants():
         # projection along the recession direction is bounded
         f = body.lower if body.kind == "overgraph" else body.upper
         if body.kind == "overgraph":
-            assert f.domain_end != "inf"  # t-interval is bounded
+            assert f.tail_slope is None  # t-interval is bounded
         else:
             assert f.tail_slope == 0      # heights stay within [0, max b]
 

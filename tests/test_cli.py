@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -368,6 +369,21 @@ def test_verify_names_the_first_disagreement(tmp_path, monkeypatch, breakpoints,
     assert result["checks"][0] == {"name": "dual-algorithm", "pass": False,
                                    "detail": f"first disagreement at t = {at}"}
 
+
+
+def test_run_job_gives_a_failing_verify_job_exit_code_1(monkeypatch):
+    # the exit code belongs to the result, so a caller of run_job reads
+    # the code the CLI returns
+    path = jobpath("verify-quartic-tropical.json")
+    with open(path) as fh:
+        assert run_job(parse_job(fh.read())).exit_code == 0
+    honest = curves.cross_verify
+    monkeypatch.setattr(curves, "cross_verify", lambda job: dataclasses.replace(
+        honest(job), agree=False, first_disagreement=Fraction(1)))
+    with open(path) as fh:
+        result = run_job(parse_job(fh.read()))
+    assert result.result["pass"] is False
+    assert result.exit_code == 1
 
 def _ladder_doc(n, flag):
     """The size-ladder curve job: C_n plus n//2 chords drawn with

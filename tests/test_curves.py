@@ -175,6 +175,60 @@ def test_random_jobs_both_routes():
         done += 1
 
 
+
+def _grid(body):
+    """Rational points around every breakpoint of the body's boundary and
+    on both sides of every edge: the abscissae of the breakpoints, of the
+    edges' midpoints and of a point on the tail, each moved by 0, +-1/7
+    and +-1, against the heights 0 and the boundary's value there, moved
+    the same."""
+    f = body.boundary
+    bps = f.breakpoints
+    ts = [t for t, _ in bps] + [(a + b) / 2 for (a, _), (b, _) in zip(bps, bps[1:])]
+    if f.tail_slope is not None:
+        ts.append(bps[-1][0] + 1)
+    steps = (0, F(1, 7), -F(1, 7), 1, -1)
+    return {(t + dt, y + dy) for t in ts for y in (0, f.value_at(t))
+            for dt in steps for dy in steps}
+
+
+def test_halfplanes_cut_out_the_body():
+    # seeded jobs with rational Lam and Lam1, both flags, then a one-point
+    # domain, a band that is all tail and a band that starts at t = 1
+    rng = random.Random(53)
+    bodies = []
+    while len(bodies) < 30:
+        g = random_graph(rng, max_vertices=5, max_extra_edges=3)
+        n = len(g.vertices)
+        lam = Divisor(g, [random_rational(rng, -2, 3, 3) for _ in range(n)])
+        v = g.vertices[rng.randrange(n)]
+        if rng.random() < 0.5:
+            y1 = Divisor(g, [random_rational(rng, 0, 2, 3) for _ in range(n)])
+            if y1.degree() <= 0 or lam.degree() <= 0:
+                continue
+            job = CurveBodyJob(g, lam, TropicalFlag(y1, v))
+        else:
+            job = CurveBodyJob(g, lam, ArakelovFlag(v))
+        try:
+            bodies.append(compute_body(job, cross_check=False))
+        except EmptySystemError:
+            pass
+    assert {b.kind for b in bodies} == {"overgraph", "band"}
+    g = Graph(["a", "b"], [("a", "b")])
+    point = PiecewiseLinearFunction(((F(3, 2), F(-1, 3)),))
+    bodies += [curves.NOBody2D("overgraph", point, None, (F(0), F(1))),
+               compute_body(CurveBodyJob(g, Divisor(g, [2, 0]), ArakelovFlag("a"))),
+               compute_body(CurveBodyJob(g, Divisor(g, [2, -1]), ArakelovFlag("b")))]
+    assert bodies[-1].boundary.domain_start == 1
+    for body in bodies:
+        rows = body.halfplanes()
+        verdicts = set()
+        for p in _grid(body):
+            inside = all(a[0] * p[0] + a[1] * p[1] >= b for a, b in rows)
+            assert inside == body.contains(p), (body, p)
+            verdicts.add(inside)
+        assert verdicts == {True, False}
+
 def _outcome(route, job):
     """The body a route builds, or the class and message it rejects with."""
     try:

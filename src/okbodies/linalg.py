@@ -238,7 +238,3 @@ def int_dot(row, x):
 
 def dot(a, b):
     return sum(map(mul, a, b), Fraction(0))
-
-
-def mat_vec(matrix, vec):
-    return [dot(row, vec) for row in matrix]

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from okbodies.errors import ConsistencyError
-from okbodies.linalg import (det_int, int_rows, mat_vec, null_vector, nullspace,
-                             pivot, primitive_direction, solve_integer,
-                             solve_square)
+from okbodies.linalg import (det_int, int_rows, null_vector, nullspace, pivot,
+                             primitive_direction, solve_integer, solve_square)
 from tests.test_rank import _ladder_graph
 
 F = Fraction
@@ -21,7 +20,7 @@ def test_solve_square_needs_row_swap():
     rhs = [F(1, 2), F(-3), F(7, 3)]
     x = solve_square(m, rhs)
     assert x is not None
-    assert mat_vec(m, x) == rhs
+    assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
 
 
 def test_solve_square_singular():
@@ -47,7 +46,7 @@ def test_solve_square_random_rational():
             continue
         solved += 1
         assert all(type(v) is Fraction for v in x)
-        assert mat_vec(m, x) == rhs
+        assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
     assert 100 < solved < 200
 
 
@@ -59,7 +58,7 @@ def test_nullspace_with_swap_and_rank_deficiency():
     assert len(null) == 2
     for v in null:
         assert any(v)
-        assert mat_vec(m, v) == [0, 0, 0]
+        assert [sum(a * b for a, b in zip(row, v)) for row in m] == [0, 0, 0]
     # independent: distinct free coordinates carry the unit entries
     assert null[0][1] == 1 and null[0][3] == 0
     assert null[1][1] == 0 and null[1][3] == 1
@@ -75,7 +74,7 @@ def test_nullspace_random_rational():
         rank = n - len(null)
         assert 0 <= rank <= min(r, n)
         for v in null:
-            assert mat_vec(m, v) == [0] * r
+            assert [sum(a * b for a, b in zip(row, v)) for row in m] == [0] * r
 
 
 def test_nullspace_of_empty_matrix():

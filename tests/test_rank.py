@@ -313,9 +313,10 @@ def dhar_rounds(monkeypatch, solves):
 def test_dhar_fires_no_round_after_the_energy_step(dhar_rounds):
     # borrowing lands the energy step exactly on the reduced divisor, so
     # Dhar burning then burns every vertex at once.  On the rank-sweep
-    # ladders and divisors, at bases other than v0 mostly, and on
-    # multigraphs with loops at every base with |Lam(v)| <= 10^6, against
-    # the reduction without the energy step
+    # ladders and divisors, at bases other than v0 mostly, on divisors just
+    # below the gate on the same ladders, and on multigraphs with loops at
+    # every base with |Lam(v)| <= 10^6, against the reduction without the
+    # energy step
     rng = random.Random(1)
     for n in (8, 12, 16, 20, 24):
         g = _ladder_graph(rng, n)
@@ -325,6 +326,13 @@ def test_dhar_fires_no_round_after_the_energy_step(dhar_rounds):
             q = (7 * k + 3) % n
             red = q_reduced(g, Divisor(g, lam), g.vertices[q])
             assert red == _reference_q_reduced(g, lam, q)
+        # just below the gate: n^2 - 1 - k chips on one vertex, which
+        # Dhar burning carries to v0 a few at a time
+        for k in range(10):
+            lam = [0] * n
+            lam[n // 2] = n * n - 1 - k
+            red = q_reduced(g, Divisor(g, lam), g.vertices[0])
+            assert red == _reference_q_reduced(g, lam, 0)
     rng = random.Random(83)
     loops = 0
     for _ in range(20):
@@ -339,3 +347,102 @@ def test_dhar_fires_no_round_after_the_energy_step(dhar_rounds):
     assert stepped == [0] * len(stepped)
     # below the gate Dhar burning does fire: the count sees its rounds
     assert sum(fired for took, fired in dhar_rounds if not took) > 1000
+
+
+def _split(rng, mass, parts):
+    """`mass` as a random sum of `parts` non-negative integers."""
+    cuts = sorted(rng.randint(0, mass) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [mass])]
+
+
+def test_the_gate_edge_and_all_debt_divisors(solves, monkeypatch):
+    # mass exactly n^2 - 1 and n^2 off the base, at every base, with every
+    # entry off it <= 0 or of mixed signs, and deg < 0 or not: the step
+    # runs at n^2, and at n^2 - 1 only once borrowing has made its 2 n^2
+    # moves; the result is the reference's (and meets the specification
+    # for n <= 6)
+    overran = []
+    borrow = rank._borrow
+
+    def counted(d, nbrs, q, moves=-1):
+        done = borrow(d, nbrs, q, moves)
+        overran.append(not done)
+        return done
+
+    monkeypatch.setattr(rank, "_borrow", counted)
+    rng = random.Random(89)
+    graphs = [random_graph(rng, max_vertices=6, max_extra_edges=6) for _ in range(40)]
+    graphs += [_ladder_graph(random.Random(1), n) for n in (8, 12)]
+    seen = {"all-debt": 0, "all-debt below, borrowed": 0, "overran": 0,
+            "negative": 0, "nonnegative": 0, "large": 0}
+    for g in graphs:
+        n = len(g.vertices)
+        if n < 2:
+            continue
+        adj, oracle = _edge_counts(g), RankOracle(g)
+        for q, base in enumerate(g.vertices):
+            for mass in (n * n - 1, n * n):
+                chips = _split(rng, mass, n - 1)
+                all_debt = rng.random() < 0.5
+                off = [-c if all_debt or rng.random() < 0.5 else c for c in chips]
+                lam = off[:q] + [rng.randint(-n * n, n * n)] + off[q:]
+                before, overruns = len(solves), sum(overran)
+                if n <= 6:
+                    red = _check_reduced(g, adj, oracle, lam, base)
+                else:
+                    red = q_reduced(g, Divisor(g, lam), base)
+                    seen["large"] += 1
+                over = sum(overran) > overruns
+                assert len(solves) - before == (mass == n * n or over)
+                assert red == _reference_q_reduced(g, lam, q)
+                if sum(lam) < 0:
+                    assert not has_nonnegative_rank(g, Divisor(g, lam), base)
+                seen["all-debt"] += all_debt
+                seen["all-debt below, borrowed"] += all_debt and mass < n * n and not over
+                seen["overran"] += over
+                seen["negative" if sum(lam) < 0 else "nonnegative"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_borrowing_hands_a_far_debt_to_the_energy_step(solves):
+    # n^2 - 1 chips of debt at the far end or the middle of a path, just
+    # below the gate: borrowing alone would carry them to v0 in about 10^6
+    # moves at n = 40; it stops after 2 n^2 and the step runs once
+    for n in (12, 24, 40):
+        names = [f"v{i}" for i in range(n)]
+        g = Graph(names, list(zip(names, names[1:])))
+        for far in (n - 1, n // 2):
+            lam = [0] * n
+            lam[far] = 1 - n * n
+            before = len(solves)
+            assert q_reduced(g, Divisor(g, lam)) == _reference_q_reduced(g, lam, 0)
+            assert len(solves) - before == 1
+
+
+def test_one_bfs_per_rank_job(monkeypatch):
+    # the graph's constructor checks connectivity with one BFS; the
+    # reduction runs none
+    calls = []
+    bfs = Graph.distances_from
+
+    def counted(self, v):
+        calls.append(v)
+        return bfs(self, v)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    rng = random.Random(1)
+    jobs = 0
+    for n in (8, 12, 16, 20, 24):
+        g = _ladder_graph(rng, n)
+        gdoc = {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
+        for k in range(6):
+            bound = 3 if k % 2 == 0 else 4 * n
+            values = {v: rng.randint(-bound, bound) for v in g.vertices}
+            payload = {"graph": gdoc, "divisor": values}
+            if k % 3 == 2:
+                payload["base"] = g.vertices[k % n]
+            before = len(calls)
+            run_job(parse_job(json.dumps({"kind": "rank", "payload": payload})))
+            assert len(calls) - before == 1
+            jobs += 1
+    assert jobs == 30

@@ -12,21 +12,22 @@ Each subcommand takes only the options shown; any other is a usage error,
 refused with that subcommand's usage before the job file is read.
 
 Exit codes: 0 success, 2 empty-system outcomes and usage errors, 1 errors
-(internal errors included, reported as "internal error: ..." on stderr;
-an unreadable input or unwritable output as "error: cannot read ..." or
-"error: cannot write ...").  The subcommand must match the job file's
-kind (and op/flag type where applicable).  --svg draws the body the job
-computed; an empty body writes no SVG.
+(internal errors of any type included, reported as "internal error: ..."
+on stderr; an unreadable input or unwritable output as "error: cannot
+read ..." or "error: cannot write ...").  The subcommand must match the
+job file's kind (and op/flag type where applicable).  --svg draws the
+body the job computed, in --window, else options.window, else
+render_svg's default window; an empty body writes no SVG.  The front end
+only moves text: jobs.parse_job reads the job, jobs.run_job runs it,
+ResultFile.text() and render_svg write what goes to the files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
-from . import curves, jobs
+from . import jobs
 from .errors import OkbodiesError, WindowEmpty
 from .jobs import EXIT_ERROR
 from .svgplot import render_svg
@@ -83,30 +84,13 @@ def _check_match(args, job) -> None:
                 f"job flag type {ftype!r} does not match {args.regime!r}")
 
 
-def _default_window(body) -> tuple:
-    """A window with one unit of margin around the bounded features."""
-    if isinstance(body, curves.NOBody2D):
-        bps = body.boundary.breakpoints
-        ts = [t for t, _ in bps]
-        ys = [v for _, v in bps] + [Fraction(0)]
-    else:
-        pts = list(body.vertices) or [(Fraction(0), Fraction(0))]
-        ts = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-    return (min(ts) - 1, max(ts) + 1, min(ys) - 1, max(ys) + 1)
-
-
 def _render(args, job, result) -> None:
     if not args.svg or result.status == "empty":
         return
-    body = result.body
-    if job.kind == "toric-body" and body.dimension != 2:
-        raise OkbodiesError(f"--svg needs a 2-D body; this body is {body.dimension}-D")
+    window = job.window
     if args.window:
         window = jobs.parse_window(args.window.split(","), "--window")
-    else:
-        window = job.window or _default_window(body)
-    _write(args.svg, render_svg(body, window))
+    _write(args.svg, render_svg(result.body, window))
 
 
 def _write(path, text) -> None:
@@ -134,20 +118,20 @@ def main(argv=None) -> int:
         _check_match(args, job)
         result = jobs.run_job(job, seed=args.seed)
         _render(args, job, result)
-        doc = json.dumps(result.as_document(), sort_keys=True, indent=2) + "\n"
         out_path = args.output or job.options.get("output")
         if out_path:
-            _write(out_path, doc)
+            _write(out_path, result.text())
         else:
-            sys.stdout.write(doc)
+            sys.stdout.write(result.text())
     except WindowEmpty as exc:
         print(f"error: empty window: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OkbodiesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (AssertionError, RuntimeError) as exc:
-        # a failed internal check or a non-terminating loop: a bug, not bad input
+    except Exception as exc:
+        # anything else (a failed internal check, a non-terminating loop, a
+        # stray ValueError) is a bug, not bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return result.exit_code

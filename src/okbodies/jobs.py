@@ -158,6 +158,11 @@ class ResultFile:
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.canonical(), sort_keys=True, indent=2).encode()
 
+    def text(self) -> str:
+        """The result file's text: the document in canonical_bytes' layout
+        (sorted keys, two-space indent), then a newline."""
+        return json.dumps(self.as_document(), sort_keys=True, indent=2) + "\n"
+
     @property
     def exit_code(self) -> int:
         """The CLI's exit code: EXIT_EMPTY for an empty system, EXIT_ERROR
@@ -172,7 +177,9 @@ class ResultFile:
 def parse_job(text: str) -> JobFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past int's digit limit or nesting too
+        # deep for the decoder: all faults of the input
         raise SchemaError(f"not valid JSON: {exc}") from exc
     _object(doc, (), ("kind", "payload"), ("options",))
     kind = _scalar(doc["kind"], ("kind",), str, among=(*_PAYLOAD_KEYS, "verify"))
@@ -308,16 +315,14 @@ def _parse_payload(kind: str, p) -> tuple:
         return ()
     g = _parse_graph(p["graph"], path + ("graph",))
     lam = _parse_vertexmap(g, p["divisor"], path + ("divisor",), Divisor)
-    base = _scalar(p["base"], path + ("base",), str) if "base" in p else None
-    if kind == "verify":
-        return g, lam, base
-    if kind == "rank":
+    if target == "rank":
+        base = _scalar(p["base"], path + ("base",), str) if "base" in p else g.vertices[0]
         if not lam.is_integral():
             raise NonIntegerDivisor("rank jobs need an integer divisor")
-        if base is None:
-            base = g.vertices[0]
         g.index(base)
         return g, lam, base
+    if kind == "verify":
+        return g, lam
     op = _scalar(p["op"], path + ("op",), str, among=("min", "member", "shift"))
     effective = True
     if "effective" in p:
@@ -508,8 +513,7 @@ def _run_verify(p: dict, parsed: tuple, seed):
                     inside = False
         _check(checks, "monomial-valuations-inside", inside)
     elif target == "linsys":
-        g, lam, _ = parsed
-        spec = linsys.LinearSystemSpec(g, lam, True)
+        spec = linsys.LinearSystemSpec(*parsed, True)
         pi = linsys.minimal_element(spec)
         if pi is None:
             _check(checks, "minimal-element", True, "empty system")

@@ -3,11 +3,15 @@
 L(Lam) is the set of functions phi with laplacian(phi) + Lam >= 0; the
 effective system L+(Lam) additionally requires phi >= 0.  Both are cut
 out by finitely many half-spaces in |V| coordinates (canonical vertex
-order), so everything here reduces to the polyhedron kernel.
+order); `build_system` writes them as an HPolyhedron for the LP routes
+and oracles, and membership is a direct check of those rows.
 
 The minimal element of a nonempty effective system is the coordinatewise
 minimum vector; min-closure of the system guarantees it is itself a
-member, and we assert that rather than assume it.
+member, and we assert that rather than assume it.  It comes from no LP:
+it is the least element of an LCP on the Laplacian, found by principal
+pivots (`least_element_path`), which also follows it along a ray of
+divisors for the curve bodies.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ never an exception.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -21,6 +22,16 @@ from .simplex import INFEASIBLE, LPOutcome, OPTIMAL
 
 Vector = Tuple[Fraction, ...]
 Constraint = Tuple[Vector, Fraction]
+
+# Most row subsets enumerate_v_rep may solve: C(r, d) + C(r, d - 1) for r
+# working rows in dimension d.  A subset costs about 35 us (Python 3.11 on
+# a 2-CPU VM), so the bound keeps one enumeration under a second there and
+# to seconds on a host several times slower.  The largest enumeration of
+# the tests and the benchmark workloads tries 3,432 subsets.  Toric bodies
+# of boxes (tests/test_cli._box_doc(d, 2, 3)) make two enumerations of
+# 19,448 subsets at d = 6 (1.3 s a job), 75,582 at d = 7 (3.7 s) and
+# 293,930 at d = 8 (23 s).
+VERTEX_ENUMERATION_MAX_SUBSETS = 20_000
 
 
 def _vec(values) -> Vector:
@@ -195,11 +206,11 @@ def enumerate_v_rep(p: HPolyhedron) -> VPolyhedron:
       the pairs keeps both facts: canonicalize_vrep would drop nothing.
     - For d = 0 the vertex loop tries the empty subset, whose solution ()
       is a vertex iff every row reads 0 >= b; only the ray loop is skipped.
+
+    More than VERTEX_ENUMERATION_MAX_SUBSETS subsets of `work` are refused
+    with DimensionTooLarge before any is solved.
     """
     d = p.dimension
-    if d > 10:
-        raise DimensionTooLarge(f"vertex enumeration capped at dimension 10, got {d}")
-
     lineality = linalg.nullspace([list(a) for a, _ in p.constraints], ncols=d)
     rays = set()
     section = []
@@ -209,6 +220,11 @@ def enumerate_v_rep(p: HPolyhedron) -> VPolyhedron:
             rays.add(r)
             section.append([*r, 0])
     work, _ = linalg.int_rows([[*a, b] for a, b in p.constraints] + section)
+    subsets = math.comb(len(work), d) + (math.comb(len(work), d - 1) if d else 0)
+    if subsets > VERTEX_ENUMERATION_MAX_SUBSETS:
+        raise DimensionTooLarge(
+            f"vertex enumeration solves at most {VERTEX_ENUMERATION_MAX_SUBSETS} "
+            f"row subsets; {len(work)} rows in dimension {d} give {subsets}")
 
     vertices = set()
     for subset in itertools.combinations(work, d):

@@ -1,8 +1,11 @@
 """SVG 1.1 rendering of 2-D bodies.
 
-The body is intersected exactly with the rational viewing window as
-half-planes: an NOBody2D gives its own (`NOBody2D.halfplanes`, labelled
-at the breakpoints of `NOBody2D.boundary`); a 2-D VPolyhedron's are
+`render_svg` makes every drawing decision: it refuses a body that is not
+2-D, and without a window it takes one unit of margin around the labelled
+points (and y = 0 for a curve body).  The body is intersected exactly
+with the rational viewing window as half-planes: an NOBody2D gives its
+own (`NOBody2D.halfplanes`, labelled at the breakpoints of
+`NOBody2D.boundary`); a 2-D VPolyhedron's are
 built here from its generator pairs (labelled at its vertices).  The
 clipped polygon is drawn filled, with hatch marks on every window edge
 that truncates an unbounded direction.  All coordinates are produced
@@ -64,29 +67,19 @@ def _clip(rows, window) -> List[Tuple[Fraction, Fraction]]:
     x0, x1, y0, y1 = window
     box = [((Fraction(1), Fraction(0)), x0), ((Fraction(-1), Fraction(0)), -x1),
            ((Fraction(0), Fraction(1)), y0), ((Fraction(0), Fraction(-1)), -y1)]
-    poly = HPolyhedron(2, list(rows) + box)
-    vrep = enumerate_v_rep(poly)
-    pts = list(vrep.vertices)
+    pts = list(enumerate_v_rep(HPolyhedron(2, list(rows) + box)).vertices)
     if len(pts) < 3:
         return pts
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
 
-    # exact angular sort around the centroid via cross products
-    def cross(p, q):
-        return (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-
+    # exact angular sort around the centroid: the upper half-plane first,
+    # then counterclockwise by the sign of the cross product
     def compare(p, q):
         hp = 0 if (p[1] > cy or (p[1] == cy and p[0] > cx)) else 1
         hq = 0 if (q[1] > cy or (q[1] == cy and q[0] > cx)) else 1
-        if hp != hq:
-            return -1 if hp < hq else 1
-        c = cross(p, q)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
+        c = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
+        return hp - hq or (c < 0) - (c > 0)
 
     return sorted(pts, key=functools.cmp_to_key(compare))
 
@@ -144,21 +137,36 @@ def _hatch(cv: _Canvas, polygon, side: str):
 
 
 def _truncated_sides(rays) -> List[str]:
-    sides = []
-    for r in rays:
-        if r[0] > 0:
-            sides.append("right")
-        if r[0] < 0:
-            sides.append("left")
-        if r[1] > 0:
-            sides.append("top")
-        if r[1] < 0:
-            sides.append("bottom")
-    return sorted(set(sides))
+    """The window sides a recession direction reaches, in name order."""
+    return sorted({side for r in rays for side, reached in (
+        ("right", r[0] > 0), ("left", r[0] < 0), ("top", r[1] > 0), ("bottom", r[1] < 0))
+        if reached})
 
 
-def render_svg(body, window) -> str:
-    """SVG text for a body clipped to window = (x0, x1, y0, y1)."""
+def render_svg(body, window=None) -> str:
+    """SVG text for a 2-D body clipped to window = (x0, x1, y0, y1); by
+    default one unit of margin around the labelled points (and y = 0 for
+    an NOBody2D)."""
+    if isinstance(body, NOBody2D):
+        rows = body.halfplanes()
+        rays = [body.recession]
+        labels = body.boundary.breakpoints
+        floor = [Fraction(0)]
+    elif isinstance(body, VPolyhedron):
+        if not body.is_empty() and body.dimension != 2:
+            raise DimensionMismatch(
+                f"--svg needs a 2-D body; this body is {body.dimension}-D")
+        rows = None if body.is_empty() else _vpoly_halfplanes(body)
+        rays = list(body.rays)
+        labels = list(body.vertices)
+        floor = []
+    else:
+        raise TypeError(f"cannot render {type(body).__name__}")
+    if window is None:
+        pts = list(labels) or [(Fraction(0), Fraction(0))]
+        ts, ys = [p[0] for p in pts], [p[1] for p in pts] + floor
+        window = (min(ts) - 1, max(ts) + 1, min(ys) - 1, max(ys) + 1)
+
     window = tuple(Fraction(w) for w in window)
     x0, x1, y0, y1 = window
     if not (x0 < x1 and y0 < y1):
@@ -169,20 +177,6 @@ def render_svg(body, window) -> str:
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
     cv.parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     _axes(cv)
-
-    if isinstance(body, NOBody2D):
-        rows = body.halfplanes()
-        rays = [body.recession]
-        labels = body.boundary.breakpoints
-    elif isinstance(body, VPolyhedron):
-        if not body.is_empty() and body.dimension != 2:
-            raise DimensionMismatch(
-                f"only 2-D bodies can be rendered; this body is {body.dimension}-D")
-        rows = None if body.is_empty() else _vpoly_halfplanes(body)
-        rays = list(body.rays)
-        labels = list(body.vertices)
-    else:
-        raise TypeError(f"cannot render {type(body).__name__}")
 
     if rows is not None:
         polygon = _clip(rows, window)

@@ -34,6 +34,12 @@ from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep, in_cone
 
 IntVec = Tuple[int, ...]
 
+# Most points of the box lattice_point_count scans.  A point costs about
+# 1.8 us (Python 3.11 on a 2-CPU VM): the 4,004,001 points of the square
+# [-1000, 1000]^2 took 7.5 s there.  The largest box of the tests and the
+# benchmark workloads holds 125 points.
+LATTICE_COUNT_MAX_BOX = 500_000
+
 
 def _ivec(v, d, what) -> IntVec:
     out = tuple(int(x) for x in v)
@@ -247,7 +253,8 @@ def monomial_valuation(model: ToricModel, flag: ToricFlag, m, h):
 def lattice_point_count(poly: HPolyhedron) -> int:
     """Number of integer points of a bounded polytope, dimension <= 3
     (a scan of the box its vertices span, each point tested by integer dot
-    products; a reporting utility, not part of any theorem)."""
+    products; a reporting utility, not part of any theorem).  A box of
+    more than LATTICE_COUNT_MAX_BOX points is refused."""
     if poly.dimension > 3:
         raise DimensionTooLarge("lattice point counting is capped at dimension 3")
     vrep = enumerate_v_rep(poly)
@@ -256,6 +263,11 @@ def lattice_point_count(poly: HPolyhedron) -> int:
     if vrep.is_empty():
         return 0
     box = [range(math.ceil(min(c)), math.floor(max(c)) + 1) for c in zip(*vrep.vertices)]
+    points = math.prod(map(len, box))
+    if points > LATTICE_COUNT_MAX_BOX:
+        raise DimensionTooLarge(
+            f"lattice point counting scans at most {LATTICE_COUNT_MAX_BOX} points; "
+            f"the box its vertices span holds {points}")
     # the rows as integer rows (A, B), built once: A.pt >= B for a point pt
     rows, _ = linalg.int_rows([[*a, b] for a, b in poly.constraints])
     return sum(all(sum(map(mul, row, pt)) >= row[-1] for row in rows)

@@ -244,6 +244,8 @@ def test_non_primitive_toric_ray(tmp_path, capsys):
     ConsistencyError("Farkas combination is not positive"),
     RuntimeError("parametric continuation did not terminate"),
     AssertionError("expected optimal at t=0, got infeasible"),
+    ValueError("Fraction(1, 0)"),
+    ZeroDivisionError("division by zero"),
 ])
 def test_internal_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
     import okbodies.jobs
@@ -341,6 +343,34 @@ def test_verify_rank(tmp_path, divisor, base, verdict):
     assert (code, ok) == (0, True)
     assert checks == [("dhar-vs-class-enumeration", True,
                        f"dhar={verdict} oracle={verdict}")]
+
+
+def test_verify_rank_gets_the_rank_jobs_parse_checks(tmp_path, capsys):
+    doc = {"kind": "verify", "payload": {
+        "target": "rank", "graph": TRIANGLE, "divisor": {"a": "1/2", "b": 0, "c": 0}}}
+    with pytest.raises(NonIntegerDivisor):
+        parse_job(json.dumps(doc))
+    assert run(["verify", "--input", _write_job(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: rank jobs need an integer divisor\n"
+    # the base defaults to the first vertex, as in a rank job
+    doc["payload"]["divisor"]["a"] = 1
+    assert parse_job(json.dumps(doc)).parsed[2] == "a"
+
+
+@pytest.mark.parametrize("text", [
+    # past int's digit limit: a plain ValueError from json.loads
+    '{"kind": "rank", "payload": {"graph": {"vertices": ["a"], "edges": []}, '
+    '"divisor": {"a": ' + "1" * 5001 + '}}}',
+    # nesting too deep for the decoder: a RecursionError
+    "[" * 100_000 + "]" * 100_000,
+], ids=["5001-digit-integer", "100000-deep-array"])
+def test_unparseable_json_exits_cleanly(tmp_path, capsys, text):
+    job = tmp_path / "job.json"
+    job.write_text(text)
+    assert run(["rank", "--input", str(job)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not valid JSON")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("breakpoints, at", [
@@ -504,6 +534,37 @@ def test_verify_refuses_toric_models_over_the_walk_cap(tmp_path, capsys):
     # the toric-body job itself is not capped
     job.write_text(json.dumps(_cube_doc(d)))
     assert run(["toric-body", "--input", str(job), "--output", str(out)]) == 0
+
+
+def _box_doc(d, height, vertical):
+    """The toric-body job of the box [-height, height]^d, with vertical
+    vertices at 0 (coefficient 0) and at e_1 .. e_vertical (coefficient
+    1), flagged by the coordinate rays at `height` and (0, ..., 0, 1)."""
+    def e(i, n):
+        return [int(i == j) for j in range(n)]
+    rays = [[sign, height] for i in range(d) for sign in (e(i, d), [-x for x in e(i, d)])]
+    flag = [[e(i, d + 1), height] for i in range(d)] + [[e(d, d + 1), 0]]
+    return {"kind": "toric-body", "payload": {
+        "model": {"ambient_dim": d, "generic_rays": rays,
+                  "vertical_vertices": [[[0] * d, 0]] + [[e(i, d), 1] for i in range(vertical)]},
+        "flag": {"rays": flag}}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # 22 working rows in dimension 10: 1,144,066 subsets, 81 s a job unbounded
+    (_box_doc(9, 2, 3), "row subsets; 22 rows in dimension 10 give 1144066"),
+    # the box of the square [-10^4, 10^4]^2: about 12 minutes unbounded
+    (_box_doc(2, 10**4, 1), "the box its vertices span holds 400040001"),
+], ids=["subsets", "lattice-box"])
+def test_toric_jobs_past_a_work_bound_fail_fast(tmp_path, capsys, doc, message):
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert run(["toric-body", "--input", _write_job(tmp_path, doc), "--output", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_toric_verify_validates_the_flag_once_per_walk(tmp_path, monkeypatch):

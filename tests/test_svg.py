@@ -74,6 +74,18 @@ def test_segment_body_is_capped_at_both_ends():
                                 "410", "176.66666666666666667")
 
 
+@pytest.mark.parametrize("body, window", [
+    # the breakpoints (0, 0), (2, 0), (4, 1/2) and y = 0, one unit out
+    (tropical_body, (-1, 5, -1, F(3, 2))),
+    # a polytope's vertices alone: y = 0 is not taken in
+    (lambda: VPolyhedron([(0, 1), (2, 3)]), (-1, 3, 0, 4)),
+    (lambda: VPolyhedron([], []), (-1, 1, -1, 1)),
+], ids=["curve-body", "segment", "empty"])
+def test_default_window(body, window):
+    body = body()
+    assert render_svg(body) == render_svg(body, window)
+
+
 def test_empty_body_axes_only():
     svg = render_svg(VPolyhedron([], []), (-1, 1, -1, 1))
     ET.fromstring(svg)

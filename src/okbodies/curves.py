@@ -14,7 +14,7 @@ the divisor, and flag data.  Two flag regimes:
       b(t) = Lam(v) + max laplacian(phi)(v) over members with phi(v) = t;
       b is nondecreasing, eventually constant; unbounded direction (1, 0).
 
-Three routes compute the boundary function, and they must agree exactly:
+Two production routes compute the body, and they must agree exactly:
 
   least elements (production): the systems are min-closed, so a(t) is the
       flag-vertex value of the least element of L+(Lam - t*Lam1), and b(t)
@@ -23,26 +23,29 @@ Three routes compute the boundary function, and they must agree exactly:
       (`linsys.least_element_path`): at most |V| pieces, and one
       principal pivot of one integer tableau per index entering the
       active set J.
-  parametric LP (the default cross-check of `compute_body`): optimal-basis
-      continuation over the same family from one cold solve, which also
-      finds where the family is feasible: the continuation ends where a
-      Farkas certificate shows that no larger t is.
-  support LPs (the oracle of `cross_verify` and `verify`): one lift
-      {(phi, s) : phi in L+(Lam - s*D), s >= 0} in |V| + 1 coordinates,
-      and its image in (phi(v), s).  Along D = Lam1 the image is the
-      tropical overgraph with its axes swapped; along D = e_v, where
-      s <= laplacian(phi)(v) + Lam(v), it is the Arakelov band.  Each is
-      bounded by one convex or concave function, so LPs in objective
-      directions find its half-planes (Lassez & Lassez 1992): the extreme
-      values of s and phi(v) give the two end points, and between two
-      known boundary points one LP along the chord's normal either
-      certifies the chord as an edge or returns a boundary point strictly
-      between them (the sandwich algorithm, Rote 1992).  That makes
-      2*(breakpoints) + 1 LPs, and none is solved cold: one zero-objective
-      solve of the lift keeps its tableau, and each support LP is a
-      `simplex.reoptimize` of it, each end point on the optimal face of
-      its range LP (lexicographic).  `enumerate_v_rep` turns the
-      half-planes into vertices and rays.
+  parametric LP (the cross-check of `compute_body` and `cross_verify`):
+      optimal-basis continuation over the same family from one cold
+      solve, which also finds where the family is feasible: the
+      continuation ends where a Farkas certificate shows that no larger t
+      is.  An empty system is confirmed by the closed form instead: on a
+      connected graph L+(Lam) is empty exactly when deg Lam < 0, since
+      the Laplacian maps onto the rational divisors of degree 0.
+
+The support LPs are a third formulation, kept as the tests' reference
+(and as layers the benchmark times by name); no production path calls
+them.  One lift {(phi, s) : phi in L+(Lam - s*D), s >= 0} in |V| + 1
+coordinates has the image in (phi(v), s): along D = Lam1 the tropical
+overgraph with its axes swapped; along D = e_v, where
+s <= laplacian(phi)(v) + Lam(v), the Arakelov band.  Each is bounded by
+one convex or concave function, so LPs in objective directions find its
+half-planes (Lassez & Lassez 1992): the extreme values of s and phi(v)
+give the two end points, and between two known boundary points one LP
+along the chord's normal either certifies the chord as an edge or
+returns a boundary point strictly between them (the sandwich algorithm,
+Rote 1992).  That makes 2*(breakpoints) + 1 LPs, each a
+`simplex.reoptimize` of one zero-objective solve of the lift, each end
+point on the optimal face of its range LP (lexicographic).
+`enumerate_v_rep` turns the half-planes into vertices and rays.
 
 The routes are independent: the least-element route makes no LP (LCP
 principal pivots); the parametric route moves the right-hand side along
@@ -53,10 +56,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Tuple, Union
 
-from .errors import (ConsistencyError, DimensionTooLarge, EmptySystemError,
-                     InfeasibleEverywhere, NonPositiveDegree, UnknownVertex)
+from .errors import (ConsistencyError, EmptySystemError, InfeasibleEverywhere,
+                     NonPositiveDegree, UnknownVertex)
 from .graphs import Divisor, Graph
 from .linalg import dot
 from .linsys import (LinearSystemSpec, build_system, least_element_path,
@@ -65,15 +69,6 @@ from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction
 from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep
 from .simplex import INFEASIBLE, OPTIMAL, reoptimize, solve_raw
-
-# Largest graph `cross_verify` checks by support LPs.  It makes one cold
-# solve of the lift and 2*(breakpoints) + 1 re-optimisations of it, and
-# both the breakpoints and the pivots per re-optimisation grow with |V|.
-# On the ladder instance (`tests/test_cli._ladder_doc`: C_n plus n//2
-# chords, Python 3.11 on a 2-CPU VM), over three vertex orders and either
-# flag, the projection took 0.07-0.09 s at n = 20, 0.32-0.45 s at n = 30
-# and 1.35-1.64 s at n = 40.
-VERIFY_MAX_VERTICES = 30
 
 # A tropical job has deg Lam > 0, and the Laplacian maps onto the rational
 # divisors of degree 0, so L+(Lam) is nonempty: its body is never empty.
@@ -158,28 +153,22 @@ class NOBody2D:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    kind: str
+    """The curve cross-check of one job: `body` by the least-element route
+    (None when that route finds an empty system although deg(lam) >= 0),
+    and, when the check fails, `detail` saying why and the first
+    disagreeing abscissa of the two routes' boundaries, if any."""
+
+    kind: str  # "tropical" | "arakelov"
     agree: bool
-    # the boundary function of the least-element (production) route, under
-    # the name perfbench/workloads.py reads
-    parametric: PiecewiseLinearFunction
-    projection: PiecewiseLinearFunction
     first_disagreement: Optional[Fraction] = None
-    body: Optional[NOBody2D] = None  # the least-element-route body
+    body: Optional[NOBody2D] = None
+    detail: str = ""
 
-
-def _first_disagreement(p, q) -> Optional[Fraction]:
-    for (ta, va), (tb, vb) in zip(p.breakpoints, q.breakpoints):
-        if ta != tb:
-            return min(ta, tb)
-        if va != vb:
-            return ta
-    if len(p.breakpoints) != len(q.breakpoints):
-        longer = p if len(p.breakpoints) > len(q.breakpoints) else q
-        return longer.breakpoints[min(len(p.breakpoints), len(q.breakpoints))][0]
-    if p.tail_slope != q.tail_slope:
-        return p.breakpoints[-1][0]
-    return None
+    @property
+    def parametric(self) -> PiecewiseLinearFunction:
+        """The least-element route's boundary function, under the name
+        perfbench/workloads.py reads."""
+        return self.body.boundary
 
 
 def _system_rows(job: CurveBodyJob):
@@ -440,30 +429,36 @@ def _parametric_body(job: CurveBodyJob) -> NOBody2D:
 
 def compute_body(job: CurveBodyJob, cross_check: bool = True) -> NOBody2D:
     """The body of the job by the least-element route; with cross_check,
-    the parametric route must build the same body, warnings included."""
-    body = combinatorial_body(job)
-    if cross_check:
-        try:
-            check = _parametric_body(job)
-        except EmptySystemError as exc:
-            check = f"an empty system ({exc})"
-        if check != body:
-            raise ConsistencyError("least-element and parametric routes disagree: "
-                                   + _disagreement(body, check))
-    return body
+    `cross_verify` must pass: the parametric route builds the same body,
+    warnings included, or deg(lam) < 0 confirms an empty system."""
+    if not cross_check:
+        return combinatorial_body(job)
+    report = cross_verify(job)
+    if not report.agree:
+        raise ConsistencyError(report.detail if report.body is None else
+                               f"least-element and parametric routes disagree: {report.detail}")
+    return report.body
 
 
-def _disagreement(body: NOBody2D, check) -> str:
-    """Where the parametric route's body `check`, or the text naming its
-    empty system, first differs from the least-element route's `body`."""
+def _disagreement(body: NOBody2D, check) -> Tuple[Optional[Fraction], str]:
+    """(t, text): where the parametric route's body `check`, or the text
+    naming its empty system, first differs from the least-element route's
+    `body`; the text is "" when they are equal.  t is the first abscissa at
+    which their boundaries differ, or None.  Both routes take the kind
+    from the flag, so bodies with equal boundaries differ in warnings only."""
+    if check == body:
+        return None, ""
     if isinstance(check, str):
-        return f"the parametric route finds {check}"
-    if check.kind != body.kind:
-        return f"kinds {body.kind} vs {check.kind}"
-    t = _first_disagreement(body.boundary, check.boundary)
-    if t is not None:
-        return f"first disagreement at t = {t}"
-    return f"different warnings: {body.warnings} vs {check.warnings}"
+        return None, f"the parametric route finds {check}"
+    p, q = body.boundary, check.boundary
+    for a, b in zip_longest(p.breakpoints, q.breakpoints):
+        if a != b:
+            t = min(x[0] for x in (a, b) if x is not None)
+            return t, f"first disagreement at t = {t}"
+    if p.tail_slope != q.tail_slope:
+        t = p.breakpoints[-1][0]
+        return t, f"first disagreement at t = {t}"
+    return None, f"different warnings: {body.warnings} vs {check.warnings}"
 
 
 def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:
@@ -475,20 +470,23 @@ def stabilization(body: NOBody2D) -> Tuple[Fraction, Fraction]:
 
 
 def cross_verify(job: CurveBodyJob) -> VerificationReport:
-    """Build the body by the least-element route, compare its boundary
-    function with the projection route's exactly, and keep the body.
-    Graphs over VERIFY_MAX_VERTICES vertices are refused up front."""
-    n = len(job.graph.vertices)
-    if n > VERIFY_MAX_VERTICES:
-        raise DimensionTooLarge(
-            f"the support-LP cross-check takes at most {VERIFY_MAX_VERTICES} "
-            f"vertices; this graph has {n}")
-    body = combinatorial_body(job)
-    if body.kind == "overgraph":
-        kind, proj = "tropical", tropical_body_projection(job)
-    else:
-        kind, proj = "arakelov", arakelov_body_projection(job)
-    route = body.boundary
-    agree = route == proj
-    return VerificationReport(kind, agree, route, proj,
-                              None if agree else _first_disagreement(route, proj), body)
+    """The curve cross-check, which `compute_body` runs too: build the body
+    once by the least-element route and compare it exactly with the
+    parametric route's, and keep it.  When the least-element route finds
+    an empty system, deg(lam) < 0 confirms it (EmptySystemError is raised
+    again) and no LP runs; otherwise the check fails."""
+    kind = "tropical" if isinstance(job.flag, TropicalFlag) else "arakelov"
+    try:
+        body = combinatorial_body(job)
+    except EmptySystemError as exc:
+        if job.lam.degree() < 0:
+            raise
+        return VerificationReport(kind, False, detail=(
+            f"the least-element route finds an empty system ({exc}) "
+            f"although deg(lam) = {job.lam.degree()} >= 0"))
+    try:
+        check = _parametric_body(job)
+    except EmptySystemError as exc:
+        check = f"an empty system ({exc})"
+    t, detail = _disagreement(body, check)
+    return VerificationReport(kind, not detail, t, body, detail)

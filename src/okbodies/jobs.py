@@ -50,6 +50,19 @@ TORIC_VERIFY_MAX_DIM = 5
 # slower.
 RANK_VERIFY_MAX_DIVISORS = 200_000
 
+# Largest graph of a curve-body job, or of a verify job's curve-body
+# target: both build the body by least elements and by the parametric LP.
+# On the ladder instance (`tests/test_cli._ladder_doc`: C_n plus n//2
+# chords, Python 3.11 on a 2-CPU VM), either flag, a job took 0.35 s at
+# n = 60, 1.2 s at n = 90, 2.0-2.4 s at n = 100 and 3 s at n = 120, and
+# about 7 s at n = 150.
+CURVE_MAX_VERTICES = 100
+
+# Most curves a verify job's random-curves target may check.  Each is a
+# curve-body cross-check on at most 5 vertices: 1,000 took 0.86-0.97 s
+# and 5,000 took 4.2-4.4 s (Python 3.11 on a 2-CPU VM).
+RANDOM_CURVES_MAX_COUNT = 2_000
+
 # (required, optional) keys of each kind's payload; a verify payload's keys
 # follow its target
 _PAYLOAD_KEYS = {
@@ -251,6 +264,9 @@ def _parse_vertexmap(g: Graph, doc, path: tuple, cls):
 
 def _parse_curve_job(p: dict, path: tuple) -> curves.CurveBodyJob:
     g = _parse_graph(p["graph"], path + ("graph",))
+    if len(g.vertices) > CURVE_MAX_VERTICES:
+        raise DimensionTooLarge(f"curve jobs take at most {CURVE_MAX_VERTICES} "
+                                f"vertices; this graph has {len(g.vertices)}")
     lam = _parse_vertexmap(g, p["divisor"], path + ("divisor",), Divisor)
     path += ("flag",)
     fdoc = _object(p["flag"], path, ("type", "vertex"), ("y1",))
@@ -431,20 +447,19 @@ def _check(checks, name, ok, detail=""):
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def _verify_curve_job(cjob: curves.CurveBodyJob, checks, label=""):
-    prefix = f"{label}: " if label else ""
+def _verify_curve_job(cjob: curves.CurveBodyJob, checks, prefix=""):
     try:
         report = curves.cross_verify(cjob)
     except EmptySystemError as exc:
+        # the least-element route's empty system, confirmed by deg(lam) < 0
         _check(checks, f"{prefix}dual-algorithm", True, f"both empty: {exc}")
         return
-    _check(checks, f"{prefix}dual-algorithm", report.agree,
-           "" if report.agree else f"first disagreement at t = {report.first_disagreement}")
+    _check(checks, f"{prefix}dual-algorithm", report.agree, report.detail)
     body = report.body
-    closed = all(
-        body.contains((t + body.recession[0], v + body.recession[1]))
-        for t, v in body.boundary.breakpoints)
-    _check(checks, f"{prefix}recession-closure", closed)
+    if body is not None:
+        _check(checks, f"{prefix}recession-closure", all(
+            body.contains((t + body.recession[0], v + body.recession[1]))
+            for t, v in body.boundary.breakpoints))
 
 
 def _first_difference(body: VPolyhedron, other: VPolyhedron) -> str:
@@ -472,6 +487,9 @@ def _run_verify(p: dict, parsed: tuple, seed):
     elif target == "random-curves":
         rng = random.Random(seed)
         count = p.get("count", 50)
+        if count > RANDOM_CURVES_MAX_COUNT:
+            raise DimensionTooLarge(f"random-curves checks at most "
+                                    f"{RANDOM_CURVES_MAX_COUNT} jobs; count is {count}")
         made = 0
         while made < count:
             g = random_graph(rng, max_vertices=5)
@@ -487,7 +505,7 @@ def _run_verify(p: dict, parsed: tuple, seed):
                 flag = curves.ArakelovFlag(g.vertices[rng.randrange(len(g.vertices))])
             made += 1
             _verify_curve_job(curves.CurveBodyJob(g, lam, flag), checks,
-                              label=f"job{made}")
+                              prefix=f"job{made}: ")
     elif target == "toric-body":
         model, flag = parsed
         d = model.ambient_dim

@@ -69,6 +69,8 @@ rewrites that row, so the face is kept by the entering scan alone.  From
 a zero-objective solve every structural column has reduced cost 0: the
 face is the whole system, and the re-optimisation is a phase 2 from the
 phase-1 basis.  The standard-form layout stays private to this module.
+Only the support LPs of `curves` call `reoptimize`, and they are the
+tests' reference for curve bodies, on no production path.
 
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
 heuristics.  A full tableau of Python integers: the package's LPs run to

@@ -147,7 +147,7 @@ def test_acceptance_6_dual_algorithm():
         except EmptySystemError:
             continue
         assert report.agree, f"disagreement at t = {report.first_disagreement}"
-    _report(6, "least elements = support LPs on 2 paper + 50 random jobs", t0, 30)
+    _report(6, "least elements = parametric LP on 2 paper + 50 random jobs", t0, 30)
 
 
 def test_acceptance_7_minimal_element_contract():

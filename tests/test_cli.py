@@ -13,8 +13,8 @@ import pytest
 import okbodies
 from okbodies import curves, jobs, linalg, toric
 from okbodies.cli import main
-from okbodies.errors import (BadRational, ConsistencyError, NonIntegerDivisor,
-                             SchemaError)
+from okbodies.errors import (BadRational, ConsistencyError, EmptySystemError,
+                             NonIntegerDivisor, SchemaError)
 from okbodies.jobs import _body_doc, parse_job, run_job
 from okbodies.plf import PiecewiseLinearFunction
 from okbodies.polyhedra import VPolyhedron
@@ -385,7 +385,10 @@ def test_verify_names_the_first_disagreement(tmp_path, monkeypatch, breakpoints,
     wrong = breakpoints
     if not isinstance(wrong, PiecewiseLinearFunction):
         wrong = PiecewiseLinearFunction(tuple(breakpoints), shape="convex")
-    monkeypatch.setattr(curves, "tropical_body_projection", lambda job: wrong)
+    # the parametric route's function replaced by `wrong`
+    honest = curves.tropical_body_parametric
+    monkeypatch.setattr(curves, "tropical_body_parametric", lambda job: dataclasses.replace(
+        honest(job), function=wrong))
     path = jobpath("verify-quartic-tropical.json")
     with open(path) as fh:
         (cjob,) = parse_job(fh.read()).parsed
@@ -471,11 +474,9 @@ def _verify_doc(n, flag):
     return doc
 
 
-@pytest.mark.parametrize("flag", ["tropical", "arakelov"])
-def test_verify_on_the_n30_ladder(tmp_path, flag):
-    # n = 30 is the largest graph verify admits
+def _verify_ladder_passes(tmp_path, n, flag):
     job = tmp_path / "job.json"
-    job.write_text(json.dumps(_verify_doc(curves.VERIFY_MAX_VERTICES, flag)))
+    job.write_text(json.dumps(_verify_doc(n, flag)))
     out = tmp_path / "r.json"
     assert run(["verify", "--input", str(job), "--output", str(out)]) == 0
     result = read_result(out)["canonical"]["result"]
@@ -483,22 +484,78 @@ def test_verify_on_the_n30_ladder(tmp_path, flag):
     assert [c["name"] for c in result["checks"]] == ["dual-algorithm", "recession-closure"]
 
 
-def test_verify_refuses_graphs_over_the_projection_cap(tmp_path, capsys):
-    n = curves.VERIFY_MAX_VERTICES + 1
+@pytest.mark.parametrize("flag", ["tropical", "arakelov"])
+def test_verify_on_the_n30_ladder(tmp_path, flag):
+    _verify_ladder_passes(tmp_path, 30, flag)
+
+
+@pytest.mark.parametrize("n", [40, 60])
+@pytest.mark.parametrize("flag", ["tropical", "arakelov"])
+def test_verify_on_the_ladder_past_n30(tmp_path, n, flag):
+    # verify runs curve-body's own cross-check, so it takes the graphs
+    # curve-body takes
+    _verify_ladder_passes(tmp_path, n, flag)
+
+
+def test_curve_jobs_over_the_vertex_bound_fail_fast(tmp_path, capsys):
+    n = jobs.CURVE_MAX_VERTICES + 1
     job = tmp_path / "job.json"
-    job.write_text(json.dumps(_verify_doc(n, "arakelov")))
+    out = tmp_path / "r.json"
+    for doc, argv in ((_verify_doc(n, "arakelov"), ["verify"]),
+                      (_ladder_doc(n, "tropical"), ["curve-body", "tropical"])):
+        job.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert run(argv + ["--input", str(job), "--output", str(out)]) == 1
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert (f"curve jobs take at most {jobs.CURVE_MAX_VERTICES} vertices; "
+                f"this graph has {n}") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_random_curves_over_the_count_bound_fail_fast(tmp_path, capsys):
+    count = jobs.RANDOM_CURVES_MAX_COUNT + 1
+    doc = {"kind": "verify", "payload": {"target": "random-curves", "count": count}}
     out = tmp_path / "r.json"
     t0 = time.perf_counter()
-    assert run(["verify", "--input", str(job), "--output", str(out)]) == 1
+    assert run(["verify", "--input", _write_job(tmp_path, doc), "--output", str(out)]) == 1
     assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert f"support-LP cross-check takes at most {curves.VERIFY_MAX_VERTICES} vertices" in err
+    assert f"at most {jobs.RANDOM_CURVES_MAX_COUNT} jobs; count is {count}" in err
+    assert "Traceback" not in err
     assert not out.exists()
-    # the curve-body job itself is not capped
-    doc = _ladder_doc(n, "arakelov")
-    job.write_text(json.dumps(doc))
-    assert run(["curve-body", "arakelov", "--input", str(job), "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("empty_at", ["verify", "curve-body"])
+def test_an_empty_system_needs_a_negative_degree(tmp_path, monkeypatch, capsys, empty_at):
+    # the least-element route reports an empty system on the quartic,
+    # where deg(lam) >= 0 rules one out: neither job may trust it
+    def empty(job):
+        raise EmptySystemError("the effective system is empty")
+
+    monkeypatch.setattr(curves, "combinatorial_body", empty)
+    out = tmp_path / "r.json"
+    if empty_at == "verify":
+        doc = _job_doc("quartic-arakelov.json")
+        del doc["options"]
+        doc["kind"] = "verify"
+        doc["payload"]["target"] = "curve-body"
+        assert run(["verify", "--input", _write_job(tmp_path, doc),
+                    "--output", str(out)]) == 1
+        result = read_result(out)["canonical"]["result"]
+        assert result["checks"] == [{
+            "name": "dual-algorithm", "pass": False,
+            "detail": "the least-element route finds an empty system (the effective "
+                      "system is empty) although deg(lam) = 4 >= 0"}]
+    else:
+        assert run(["curve-body", "arakelov", "--input", jobpath("quartic-arakelov.json"),
+                    "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the least-element route finds an empty system")
+        assert not out.exists()
 
 
 def _cube_doc(d):

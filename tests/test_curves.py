@@ -76,12 +76,29 @@ def test_path_arakelov_constant():
     assert body.upper.value_at(17) == 2
 
 
-def test_arakelov_empty_system():
-    # negative degree: no member of the effective system can exist
+def test_arakelov_empty_system(monkeypatch):
+    # negative degree: no member of the effective system can exist, and
+    # deg Lam < 0 confirms the least-element route's finding with no LP
+    calls = []
+    monkeypatch.setattr(curves, "_parametric_body", lambda job: calls.append(job))
     g = Graph(["a", "b"], [("a", "b")])
     job = CurveBodyJob(g, Divisor(g, [-3, 2]), ArakelovFlag("a"))
     with pytest.raises(EmptySystemError):
         compute_body(job)
+    with pytest.raises(EmptySystemError, match="the effective system is empty"):
+        cross_verify(job)
+    assert calls == []
+
+
+def test_least_elements_are_empty_exactly_below_degree_0():
+    # the closed form the cross-check confirms empty systems with: on a
+    # connected graph, L+(Lam) over Q is empty iff deg Lam < 0
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=7)
+        lam = Divisor(g, [random_rational(rng, -3, 3) for _ in g.vertices])
+        empty = minimal_element(LinearSystemSpec(g, lam, True)) is None
+        assert empty == (lam.degree() < 0), lam.values
 
 
 def test_projection_of_an_empty_system_fails_fast():
@@ -122,14 +139,16 @@ def test_route_disagreement_is_named():
     overgraph = compute_body(CurveBodyJob(g, quartic_lam(g),
                                           TropicalFlag(Divisor(g, [1, 0, 0, 0]), "P")))
     band = compute_body(CurveBodyJob(g, quartic_lam(g), ArakelovFlag("P")))
-    assert curves._disagreement(band, overgraph) == "kinds band vs overgraph"
+    assert curves._disagreement(band, band) == (None, "")
+    # the kinds differ, and so do the boundaries
+    assert curves._disagreement(band, overgraph) == (0, "first disagreement at t = 0")
     assert curves._disagreement(band, "an empty system (x)") == (
-        "the parametric route finds an empty system (x)")
+        None, "the parametric route finds an empty system (x)")
     late = dataclasses.replace(band, upper=PiecewiseLinearFunction(
         ((F(1, 4), F(3)), (F(1, 2), F(4))), tail_slope=F(0), shape="concave"))
-    assert curves._disagreement(band, late) == "first disagreement at t = 0"
+    assert curves._disagreement(band, late) == (0, "first disagreement at t = 0")
     warned = dataclasses.replace(band, warnings=("w",))
-    assert curves._disagreement(band, warned) == "different warnings: () vs ('w',)"
+    assert curves._disagreement(band, warned) == (None, "different warnings: () vs ('w',)")
 
 
 def test_flag_validation():

@@ -77,21 +77,23 @@ def test_job_results_unchanged(name, tmp_path):
 def test_body_is_built_once(name, svg, tmp_path, monkeypatch):
     """--svg draws the body the job computed, and verify checks recession
     closure on the body its cross-check built: the least-element route
-    builds it once.  A curve-body job cross-checks it with the parametric
-    route once; verify checks it against Fourier-Motzkin and runs no
-    parametric LP."""
-    calls = {"combinatorial_body": 0, "tropical_body_parametric": 0}
+    builds it once.  A curve-body job and a verify job run the same
+    cross-check, the parametric route once, and no support LP."""
+    calls = dict.fromkeys(("combinatorial_body", "tropical_body_parametric",
+                           "tropical_body_projection", "arakelov_body_projection",
+                           "reoptimize"), 0)
 
     def counted(attr):
         build = getattr(curves, attr)
 
-        def wrapper(job):
+        def wrapper(*args, **kwargs):
             calls[attr] += 1
-            return build(job)
+            return build(*args, **kwargs)
         return wrapper
 
     for attr in calls:
         monkeypatch.setattr(curves, attr, counted(attr))
     assert main(_job_argv(name, tmp_path, svg)) == 0
-    assert calls == {"combinatorial_body": 1,
-                     "tropical_body_parametric": 0 if name.startswith("verify") else 1}
+    assert calls == {"combinatorial_body": 1, "tropical_body_parametric": 1,
+                     "tropical_body_projection": 0, "arakelov_body_projection": 0,
+                     "reoptimize": 0}

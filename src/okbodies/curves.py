@@ -42,9 +42,9 @@ half-planes (Lassez & Lassez 1992): the extreme values of s and phi(v)
 give the two end points, and between two known boundary points one LP
 along the chord's normal either certifies the chord as an edge or
 returns a boundary point strictly between them (the sandwich algorithm,
-Rote 1992).  That makes 2*(breakpoints) + 1 LPs, each a
-`simplex.reoptimize` of one zero-objective solve of the lift, each end
-point on the optimal face of its range LP (lexicographic).
+Rote 1992).  That makes 2*(breakpoints) + 1 LPs, each one cold
+`solve_raw` of the lift; an end point pins the range LP's coordinate at
+its optimum by two rows, and the first range LP finds an empty lift.
 `enumerate_v_rep` turns the half-planes into vertices and rays.
 
 The routes are independent: the least-element route makes no LP (LCP
@@ -68,7 +68,7 @@ from .linsys import (LinearSystemSpec, build_system, least_element_path,
 from .parametric import ParametricResult, parametric_value_function
 from .plf import PiecewiseLinearFunction
 from .polyhedra import HPolyhedron, VPolyhedron, enumerate_v_rep
-from .simplex import INFEASIBLE, OPTIMAL, reoptimize, solve_raw
+from .simplex import INFEASIBLE, UNBOUNDED, solve_raw
 
 # A tropical job has deg Lam > 0, and the Laplacian maps onto the rational
 # divisors of degree 0, so L+(Lam) is nonempty: its body is never empty.
@@ -154,9 +154,10 @@ class NOBody2D:
 @dataclass(frozen=True)
 class VerificationReport:
     """The curve cross-check of one job: `body` by the least-element route
-    (None when that route finds an empty system although deg(lam) >= 0),
-    and, when the check fails, `detail` saying why and the first
-    disagreeing abscissa of the two routes' boundaries, if any."""
+    (None when a route fails, or when the least-element route finds an
+    empty system although deg(lam) >= 0), and, when the check fails,
+    `detail` saying why and the first disagreeing abscissa of the two
+    routes' boundaries, if any."""
 
     kind: str  # "tropical" | "arakelov"
     agree: bool
@@ -303,10 +304,9 @@ def _sandwich(p, q, support):
 def _support_image(job: CurveBodyJob) -> VPolyhedron:
     """The image in (phi(v), s) of the lift {(phi, s) : phi in L+(Lam - s*D),
     s >= 0}, D = Lam1 for a tropical flag and e_v for an Arakelov one, from
-    its half-planes (empty when the lift is).  One cold solve of the lift
-    with a zero objective; every support LP re-optimises its tableau: the
-    range LPs and the sandwich LPs from that solve, each end point on the
-    face of its range LP."""
+    its half-planes (empty when the lift is, which the first range LP
+    finds).  Every support LP is one cold solve of the lift; an end point
+    is optimal over the lift with its first coordinate pinned by two rows."""
     g = job.graph
     n, iv = len(g.vertices), g.index(job.flag.vertex)
     tropical = isinstance(job.flag, TropicalFlag)
@@ -315,38 +315,41 @@ def _support_image(job: CurveBodyJob) -> VPolyhedron:
     rows, rhs = _system_rows(job)
     lift = [((*a, -d), b) for a, d, b in zip(rows, [*direction] + [0] * n, rhs)]
     lift.append(((0,) * n + (1,), 0))
-    base = solve_raw(lift, [0] * (n + 1), "min")
-    if base.status == INFEASIBLE:
-        return VPolyhedron([])
 
-    def lp(face, objective, sense):
-        """The optimal outcome of objective (c_y, c_s), for c_y*phi(v) +
-        c_s*s, over the optimal points of `face`."""
+    def lp(objective, sense, pin=None):
+        """The outcome of objective (c_y, c_s), for c_y*phi(v) + c_s*s, over
+        the lift, with lift coordinate k at value when pin = (k, value)."""
         c = [0] * (n + 1)
         c[iv], c[n] = objective
-        out = reoptimize(face, c, sense)
-        if out.status != OPTIMAL:
+        system = lift
+        if pin is not None:
+            k, value = pin
+            e = [int(j == k) for j in range(n + 1)]
+            system = lift + [(e, value), ([-x for x in e], -value)]
+        out = solve_raw(system, c, sense)
+        if out.status == UNBOUNDED:
             raise ConsistencyError(f"the lift is unbounded along {objective} ({sense})")
         return out
 
     def point(out):
         return out.witness[iv], out.witness[n]
 
+    # the least s (tropical) or phi(v) (Arakelov), then the greatest s
+    low = lp((0, 1) if tropical else (1, 0), "min")
+    if low.status == INFEASIBLE:
+        return VPolyhedron([])
+    t_lo, s_hi = low.value, lp((0, 1), "max").value
     if tropical:
-        # the overgraph of a(s) over [t_lo, t_hi]; points as (s, a(s))
-        low, high = lp(base, (0, 1), "min"), lp(base, (0, 1), "max")
-        t_lo, t_hi = low.value, high.value
-        ends = [point(lp(face, (1, 0), "min"))[::-1] for face in (low, high)]
-        edges = _sandwich(*ends, lambda m: point(lp(base, (1, -m), "min"))[::-1])
-        halfplanes = [((0, 1), t_lo), ((0, -1), -t_hi)]
+        # the overgraph of a(s) over [t_lo, s_hi]; points as (s, a(s))
+        ends = [point(lp((1, 0), "min", (n, s)))[::-1] for s in (t_lo, s_hi)]
+        edges = _sandwich(*ends, lambda m: point(lp((1, -m), "min"))[::-1])
+        halfplanes = [((0, 1), t_lo), ((0, -1), -s_hi)]
         halfplanes += [((1, -m), c) for m, c in edges]
     else:
-        # the band under b(t) from t_lo on, constant B from t* on
-        low, top = lp(base, (1, 0), "min"), lp(base, (0, 1), "max")
-        t_lo = low.value
-        ends = [point(lp(low, (0, 1), "max")), point(lp(top, (1, 0), "min"))]
-        edges = _sandwich(*ends, lambda m: point(lp(base, (-m, 1), "max")))
-        halfplanes = [((1, 0), t_lo), ((0, 1), 0), ((0, -1), -top.value)]
+        # the band under b(t) from t_lo on, constant s_hi from t* on
+        ends = [point(lp((0, 1), "max", (iv, t_lo))), point(lp((1, 0), "min", (n, s_hi)))]
+        edges = _sandwich(*ends, lambda m: point(lp((-m, 1), "max")))
+        halfplanes = [((1, 0), t_lo), ((0, 1), 0), ((0, -1), -s_hi)]
         halfplanes += [((m, -1), -c) for m, c in edges]
     return enumerate_v_rep(HPolyhedron(2, halfplanes))
 
@@ -474,7 +477,8 @@ def cross_verify(job: CurveBodyJob) -> VerificationReport:
     once by the least-element route and compare it exactly with the
     parametric route's, and keep it.  When the least-element route finds
     an empty system, deg(lam) < 0 confirms it (EmptySystemError is raised
-    again) and no LP runs; otherwise the check fails."""
+    again) and no LP runs; otherwise the check fails.  A route that fails
+    (a ConsistencyError) fails the check too, with a detail naming it."""
     kind = "tropical" if isinstance(job.flag, TropicalFlag) else "arakelov"
     try:
         body = combinatorial_body(job)
@@ -484,9 +488,13 @@ def cross_verify(job: CurveBodyJob) -> VerificationReport:
         return VerificationReport(kind, False, detail=(
             f"the least-element route finds an empty system ({exc}) "
             f"although deg(lam) = {job.lam.degree()} >= 0"))
+    except ConsistencyError as exc:
+        return VerificationReport(kind, False, detail=f"the least-element route fails: {exc}")
     try:
         check = _parametric_body(job)
     except EmptySystemError as exc:
         check = f"an empty system ({exc})"
+    except ConsistencyError as exc:
+        return VerificationReport(kind, False, detail=f"the parametric route fails: {exc}")
     t, detail = _disagreement(body, check)
     return VerificationReport(kind, not detail, t, body, detail)

@@ -462,21 +462,6 @@ def _verify_curve_job(cjob: curves.CurveBodyJob, checks, prefix=""):
             for t, v in body.boundary.breakpoints))
 
 
-def _first_difference(body: VPolyhedron, other: VPolyhedron) -> str:
-    """Names the first vertex, then ray, at which the vertex map's body and
-    the projection's differ; "" when they are equal."""
-    def text(point):
-        return "none" if point is None else "(" + ", ".join(map(str, point)) + ")"
-
-    for what, mine, theirs in (("vertex", body.vertices, other.vertices),
-                               ("ray", body.rays, other.rays)):
-        for i, (a, b) in enumerate(itertools.zip_longest(mine, theirs)):
-            if a != b:
-                return (f"first difference at {what} {i}: vertex map {text(a)}, "
-                        f"projection {text(b)}")
-    return ""
-
-
 def _run_verify(p: dict, parsed: tuple, seed):
     checks = []
     target = p["target"]
@@ -519,7 +504,7 @@ def _run_verify(p: dict, parsed: tuple, seed):
         image = toric.toric_body_halfspaces(model, flag)
         body, other = toric.toric_body_vertexmap(model, flag), enumerate_v_rep(image)
         _check(checks, "vertexmap-vs-projection", body == other,
-               _first_difference(body, other))
+               toric.first_difference(body, other))
         rows, _ = int_rows([[*a, b] for a, b in image.constraints])
         value = toric.valuation_map(model, flag)
         inside = True

@@ -21,8 +21,8 @@ a row.  Once phase 1 has read its Farkas vector or driven every
 artificial out of the basis, `solve_raw` drops the artificial block and
 reduces each row by its gcd, so every tableau an outcome keeps is
 2n + m + 2 wide.  This changes no pivot:
-  - no artificial enters again: phase 2, `continue_along` and
-    `reoptimize` offer only x+, x- and s;
+  - no artificial enters again: the phase 2 of `solve_raw` and
+    `continue_along` offer only x+, x- and s;
   - in every constraint row artificial column i is -sigma_i times slack
     column i (sigma_i the sign the row was scaled by), so the block holds
     nothing the slacks do not, and `continue_along` reads its Farkas
@@ -50,27 +50,12 @@ it (`tableau_value`) and its rate (`slope`) are computed on request from
 the kept tableau and the point s it is read at; only the parametric
 route reads them.
 
-Phase 2: one routine prices a cost row on a tableau with a feasible
-basis and runs Bland's rule over given candidate columns, checking the
-ray when it ends unbounded; otherwise its caller reads the witness with
-`_point`, in integers.  A cold solve is phase 1 followed by that
-phase 2, from the phase-1 basis with every structural column a
-candidate; an unconstrained LP is no special case (with no rows, the
-first column of negative cost gives the ray).
-
-Lexicographic re-optimisation: `reoptimize` optimises a new objective
-over the optimal points of any optimal outcome read at its solve's rhs
-(s = 0), each of which keeps its final tableau.  It runs the same
-phase 2 on a copy of that tableau with only the outcome's own candidate
-columns whose reduced cost is 0 allowed to enter.  The others stay
-nonbasic at 0, which holds every visited point on the optimal face.  A
-reduced cost set positive would not block a column, since each pivot
-rewrites that row, so the face is kept by the entering scan alone.  From
-a zero-objective solve every structural column has reduced cost 0: the
-face is the whole system, and the re-optimisation is a phase 2 from the
-phase-1 basis.  The standard-form layout stays private to this module.
-Only the support LPs of `curves` call `reoptimize`, and they are the
-tests' reference for curve bodies, on no production path.
+Phase 2 prices the cost row on the phase-1 basis and runs Bland's rule
+over every structural column, checking the ray when it ends unbounded;
+otherwise `_point` reads the witness, in integers.  An unconstrained LP
+is no special case (with no rows, the first column of negative cost
+gives the ray).  Every LP is a cold solve: phase 1, then phase 2, with
+`continue_along` the one way to reuse a final tableau.
 
 Determinism over speed: Bland's rule, fixed tie-breaks, no scaling
 heuristics.  A full tableau of Python integers: the package's LPs run to
@@ -110,8 +95,6 @@ class _Tableau(NamedTuple):
     cost: List[int]
     cost_den: int
     sign: int
-    # the columns that may enter
-    cols: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -120,10 +103,11 @@ class LPOutcome:
     value: Optional[Fraction] = None
     witness: Optional[Tuple[Fraction, ...]] = None
     certificate: Optional[Tuple[Fraction, ...]] = None
-    # standard-form basis (column indices), for parametric continuation
+    # standard-form basis (column indices), read only by tests that pin
+    # the pivots
     basis: Optional[Tuple[int, ...]] = None
-    # optimal: the final tableau, for `continue_along`, `reoptimize` and
-    # the properties below, and the point s at which it is read, b + s*d
+    # optimal: the final tableau, for `continue_along` and the properties
+    # below, and the point s at which it is read, b + s*d
     tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
     s: Optional[Fraction] = None
 
@@ -290,24 +274,24 @@ def solve_raw(constraints: Sequence[Tuple[Sequence[Fraction], Fraction]],
         tab[i], dens[i] = row, dens[i] // g
 
     # phase 2 from the phase-1 basis, every structural column a candidate
-    start = _Tableau(tab, dens, basis, given, given_dens, cost, cost_den, sign,
-                     range(nstruct))
+    start = _Tableau(tab, dens, basis, given, given_dens, cost, cost_den, sign)
     return _phase2(start) or _optimal(start, _ZERO, *_point(start, _ZERO))
 
 
 def _phase2(start) -> Optional[LPOutcome]:
     """Phase 2 in place on the lists of `start`, a tableau whose basis is
     feasible and whose cost fields hold the cost to optimise: prices that
-    cost into the reduced-cost row and runs Bland's rule over start.cols.
-    UNBOUNDED with a ray that passed `_check_ray`, or None when `start`
-    has become a final tableau, whose point `_point` reads."""
+    cost into the reduced-cost row and runs Bland's rule over every
+    structural column.  UNBOUNDED with a ray that passed `_check_ray`, or
+    None when `start` has become a final tableau, whose point `_point`
+    reads."""
     tab, dens, basis, cost = start.rows, start.dens, start.basis, start.cost
     m = len(basis)
     # the rhs entry of the reduced-cost row is minus the internal value;
     # the slack and direction columns and the rhs cost 0
     tab[m], dens[m] = _price(tab, dens, basis, cost + [-c for c in cost] + [0] * (m + 2),
                              start.cost_den)
-    entering = _run_simplex(tab, dens, basis, start.cols)
+    entering = _run_simplex(tab, dens, basis, range(2 * len(cost) + m))
     if entering is None:
         return None
     ray = _ray(tab, dens, basis, entering, len(cost))
@@ -315,47 +299,9 @@ def _phase2(start) -> Optional[LPOutcome]:
     return LPOutcome(UNBOUNDED, certificate=tuple(ray))
 
 
-def reoptimize(out: LPOutcome, objective: Sequence[Fraction],
-               sense: str = "min") -> LPOutcome:
-    """Optimise `objective` over the optimal points of `out`, an optimal
-    outcome read at its solve's rhs: of `solve_raw`, of `reoptimize` (so a
-    chain of calls is lexicographic) or of `continue_along` at s = 0.  Any
-    other raises ValueError, since the ratio tests read the rhs column,
-    which holds the solve's b.  Phase 2 on a copy of out's final tableau,
-    by Bland's rule over the columns that could enter out and have reduced
-    cost 0 in its cost row.  OPTIMAL with a witness that must keep out's
-    value, or UNBOUNDED with a ray that must keep it too; each certificate
-    is checked as `solve_raw` checks its own."""
-    if out.status != OPTIMAL:
-        raise ValueError(f"reoptimize needs an optimal outcome, got {out.status}")
-    if out.s:
-        raise ValueError(f"reoptimize needs an outcome read at the solve's rhs, "
-                         f"not at s = {out.s}")
-    old = out.tableau
-    n = len(old.cost)
-    if len(objective) != n:
-        raise DimensionMismatch(f"objective has {len(objective)} entries, expected {n}")
-    cost, cost_den, sign = _cost(objective, sense)
-    cols = [j for j in old.cols if old.rows[-1][j] == 0]
-    new = old._replace(rows=old.rows[:], dens=old.dens[:], basis=old.basis[:],
-                       cost=cost, cost_den=cost_den, sign=sign, cols=cols)
-    unbounded = _phase2(new)
-    if unbounded is not None:
-        (ray,), _ = int_rows([unbounded.certificate])
-        if int_dot(old.cost, ray) != 0:
-            raise ConsistencyError("re-optimised ray leaves the optimal face")
-        return unbounded
-    x, den = _point(new, _ZERO)
-    # out's internal cost at the new point, x over den, keeps out's value
-    value = old.sign * out.value
-    if int_dot(old.cost, x) * value.denominator != value.numerator * old.cost_den * den:
-        raise ConsistencyError("re-optimised witness leaves the optimal face")
-    return _optimal(new, _ZERO, x, den)
-
-
 def continue_along(out: LPOutcome, s) -> LPOutcome:
-    """Move an optimal outcome (of a solve, a continuation or a
-    re-optimisation) along its solve's rhs direction d to b + s*d, b
+    """Move an optimal outcome (of a solve or a continuation) along its
+    solve's rhs direction d to b + s*d, b
     being that solve's rhs and the basis feasible there.  Dual pivots on
     a copy of the tableau, by Bland's rule on the dual, make the basis
     feasible on b + (s + eps)*d for small eps > 0: among rows whose value

@@ -196,6 +196,21 @@ def toric_body_projection(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
     return enumerate_v_rep(toric_body_halfspaces(model, flag))
 
 
+def first_difference(body: VPolyhedron, other: VPolyhedron) -> str:
+    """Names the first vertex, then ray, at which the vertex map's body and
+    the projection's differ; "" when they are equal."""
+    def text(point):
+        return "none" if point is None else "(" + ", ".join(map(str, point)) + ")"
+
+    for what, mine, theirs in (("vertex", body.vertices, other.vertices),
+                               ("ray", body.rays, other.rays)):
+        for i, (a, b) in enumerate(itertools.zip_longest(mine, theirs)):
+            if a != b:
+                return (f"first difference at {what} {i}: vertex map {text(a)}, "
+                        f"projection {text(b)}")
+    return ""
+
+
 def toric_body(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
     """The body by the vertex map, which must equal the projection's body
     as built, tuple for tuple.  The routes share only enumerate_v_rep: the
@@ -215,8 +230,8 @@ def toric_body(model: ToricModel, flag: ToricFlag) -> VPolyhedron:
     body = toric_body_vertexmap(model, flag)
     other = toric_body_projection(model, flag)
     if body != other:
-        raise ConsistencyError(
-            f"vertex-map and projection bodies disagree: {body} vs {other}")
+        raise ConsistencyError(f"vertex-map and projection bodies disagree: "
+                               f"{first_difference(body, other)}")
     for pt in body.vertices:
         if any(c < 0 for c in pt):
             raise ConsistencyError(

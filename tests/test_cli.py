@@ -558,6 +558,59 @@ def test_an_empty_system_needs_a_negative_degree(tmp_path, monkeypatch, capsys, 
         assert not out.exists()
 
 
+@pytest.mark.parametrize("fault_at", ["verify", "curve-body"])
+def test_a_route_fault_fails_the_check(tmp_path, monkeypatch, capsys, fault_at):
+    # the least-element path finds nothing on the quartic: verify writes a
+    # failing check naming the route, and curve-body exits 1 with its text
+    monkeypatch.setattr(curves, "least_element_path", lambda *args: None)
+    detail = ("the least-element route fails: the effective system at t = 0 "
+              "is empty although deg(lam) > 0")
+    out = tmp_path / "r.json"
+    if fault_at == "verify":
+        assert run(["verify", "--input", jobpath("verify-quartic-tropical.json"),
+                    "--output", str(out)]) == 1
+        result = read_result(out)["canonical"]["result"]
+        assert result["pass"] is False
+        assert result["checks"] == [{"name": "dual-algorithm", "pass": False,
+                                     "detail": detail}]
+    else:
+        assert run(["curve-body", "tropical", "--input", jobpath("quartic-tropical.json"),
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("route, name", [("combinatorial_body", "least-element"),
+                                         ("_parametric_body", "parametric")])
+def test_a_route_fault_fails_one_curve_of_random_curves(tmp_path, monkeypatch, route, name):
+    # the route raises on its third call: that curve's one check fails
+    # naming the route, and every other curve's checks are written as
+    # without the fault
+    clean = tmp_path / "clean.json"
+    assert run(["verify", "--input", jobpath("verify-random-curves.json"),
+                "--output", str(clean)]) == 0
+    original, calls = getattr(curves, route), []
+
+    def faulty(job):
+        calls.append(job)
+        if len(calls) == 3:
+            raise ConsistencyError("injected fault")
+        return original(job)
+
+    monkeypatch.setattr(curves, route, faulty)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--input", jobpath("verify-random-curves.json"),
+                "--output", str(out)]) == 1
+    checks = read_result(out)["canonical"]["result"]["checks"]
+    (failed,) = [c for c in checks if not c["pass"]]
+    assert failed["detail"] == f"the {name} route fails: injected fault"
+    prefix = failed["name"].replace("dual-algorithm", "")
+    assert [c for c in checks if c["name"].startswith(prefix)] == [failed]
+    assert [c for c in checks if not c["name"].startswith(prefix)] == [
+        c for c in read_result(clean)["canonical"]["result"]["checks"]
+        if not c["name"].startswith(prefix)]
+
+
 def _cube_doc(d):
     """The toric-body job of the cube [-1, 1]^d with one vertical vertex
     at the origin, flagged by the coordinate rays and (0, ..., 0, 1)."""
@@ -665,6 +718,20 @@ def test_toric_verify_names_the_first_difference(tmp_path, monkeypatch, wrong, d
     assert result["pass"] is False
     assert result["checks"][0] == {"name": "vertexmap-vs-projection", "pass": False,
                                    "detail": detail}
+
+
+def test_toric_body_names_the_first_difference(tmp_path, monkeypatch, capsys):
+    # a toric-body job names the first differing vertex as verify does,
+    # not the two whole bodies
+    monkeypatch.setattr(toric, "toric_body_vertexmap",
+                        lambda model, flag: VPolyhedron([(0, 0), (1, 2)], [(0, 1)]))
+    out = tmp_path / "r.json"
+    assert run(["toric-body", "--input", jobpath("toric-d1.json"), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: vertex-map and projection bodies disagree: first difference "
+                   "at vertex 1: vertex map (1, 2), projection (1, 1)\n")
+    assert "VPolyhedron(" not in err
+    assert not out.exists()
 
 
 def test_verify_refuses_rank_jobs_over_the_enumeration_bound(tmp_path, capsys):

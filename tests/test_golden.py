@@ -80,8 +80,7 @@ def test_body_is_built_once(name, svg, tmp_path, monkeypatch):
     builds it once.  A curve-body job and a verify job run the same
     cross-check, the parametric route once, and no support LP."""
     calls = dict.fromkeys(("combinatorial_body", "tropical_body_parametric",
-                           "tropical_body_projection", "arakelov_body_projection",
-                           "reoptimize"), 0)
+                           "tropical_body_projection", "arakelov_body_projection"), 0)
 
     def counted(attr):
         build = getattr(curves, attr)
@@ -95,5 +94,4 @@ def test_body_is_built_once(name, svg, tmp_path, monkeypatch):
         monkeypatch.setattr(curves, attr, counted(attr))
     assert main(_job_argv(name, tmp_path, svg)) == 0
     assert calls == {"combinatorial_body": 1, "tropical_body_parametric": 1,
-                     "tropical_body_projection": 0, "arakelov_body_projection": 0,
-                     "reoptimize": 0}
+                     "tropical_body_projection": 0, "arakelov_body_projection": 0}

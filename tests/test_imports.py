@@ -15,7 +15,12 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "okbodies"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PACKAGE_NAME = PACKAGE.name
+# Reference code that no production path calls: Fourier-Motzkin, which is
+# exponential, and the support LPs, the tests' reference for curve bodies.
+# A function of one group may call the others of its group.
 FOURIER_MOTZKIN = {"project_out", "fm_eliminate"}
+SUPPORT_LPS = {"_support_image", "_sandwich", "tropical_body_projection",
+               "arakelov_body_projection"}
 
 
 def _unused_imports(source: str):
@@ -87,24 +92,33 @@ def test_no_private_names_from_other_modules(path):
     assert _private_uses(path.read_text()) == []
 
 
-def _fourier_motzkin_calls(source: str):
-    """(line, name) of each call of the Fourier-Motzkin functions, by name
-    or as an attribute."""
+def _reference_calls(source: str):
+    """(line, name) of each call, by name or as an attribute, of a
+    Fourier-Motzkin or support-LP function from outside the functions of
+    its own group."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def visit(node, allowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for group in (FOURIER_MOTZKIN, SUPPORT_LPS):
+                if node.name in group:
+                    allowed = allowed | group
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name in FOURIER_MOTZKIN:
+            if name in FOURIER_MOTZKIN | SUPPORT_LPS and name not in allowed:
                 found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(ast.parse(source), set())
     return sorted(found)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_fourier_motzkin_stays_in_polyhedra(path):
-    # FM is exponential: it stays a library function and the tests'
-    # reference, and no production path calls it
-    if path.name != "polyhedra.py":
-        assert _fourier_motzkin_calls(path.read_text()) == []
+    # FM and the support LPs stay the tests' reference: only their own
+    # functions call them, and no production path does
+    assert _reference_calls(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -143,4 +157,23 @@ def test_check_sees_a_fourier_motzkin_call():
               "from . import polyhedra\n"
               "project_out(p, [0])\n"
               "polyhedra.fm_eliminate(p, 1)\n")
-    assert _fourier_motzkin_calls(source) == [(3, "project_out"), (4, "fm_eliminate")]
+    assert _reference_calls(source) == [(3, "project_out"), (4, "fm_eliminate")]
+
+
+def test_check_sees_a_support_lp_call():
+    # calls within a group pass, nested functions and lambdas included;
+    # a call from any other function, or across the groups, does not
+    source = ("def _support_image(job):\n"
+              "    return _sandwich(p, q, lambda m: lp(m))\n"
+              "def tropical_body_projection(job):\n"
+              "    return _support_image(job)\n"
+              "def project_out(p, idx):\n"
+              "    return fm_eliminate(p, idx[0])\n"
+              "def cross_verify(job):\n"
+              "    return curves.tropical_body_projection(job)\n"
+              "def arakelov_body_projection(job):\n"
+              "    def inner():\n"
+              "        return project_out(p, [0]), _support_image(job)\n"
+              "    return inner()\n")
+    assert _reference_calls(source) == [(8, "tropical_body_projection"),
+                                        (11, "project_out")]

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -10,8 +9,7 @@ import pytest
 from okbodies.errors import ConsistencyError
 from okbodies.linalg import int_rows
 from okbodies.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, _check_farkas,
-                              _check_point, _check_ray, continue_along, reoptimize,
-                              solve_raw)
+                              _check_point, _check_ray, continue_along, solve_raw)
 
 F = Fraction
 
@@ -333,77 +331,6 @@ def _solve_at(cons, obj, sense, d, s):
     return solve_raw([(a, b + s * e) for (a, b), e in zip(cons, d)], obj, sense)
 
 
-# Lexicographic re-optimisation: from a zero-objective solve the face is
-# the whole system, so a re-optimisation must match a cold solve; on the
-# optimal face of an objective it must match a cold solve with that
-# objective pinned to its optimum by two rows.
-
-def _assert_certified(out, cons, obj, sense):
-    cost = obj if sense == "min" else [-c for c in obj]
-    if out.status == OPTIMAL:
-        assert all(_dot(a, out.witness) >= b for a, b in cons)
-        assert _dot(obj, out.witness) == out.value
-    else:
-        assert out.status == UNBOUNDED
-        assert all(_dot(a, out.certificate) >= 0 for a, _ in cons)
-        assert _dot(cost, out.certificate) < 0
-
-
-def test_reoptimize_matches_cold_solves_on_random_lps():
-    # up to three objectives in turn on each seeded LP: each re-optimised
-    # outcome equals, in status and value, the cold solve of the system
-    # with every earlier objective pinned to its optimum, and its
-    # certificate holds on that system
-    rng = random.Random(1611)
-    seen = Counter()
-    for _ in range(400):
-        cons, obj, sense = _random_rational_lp(rng)
-        n = len(obj)
-        # sparse objectives leave faces larger than a vertex, unbounded ones
-        # included
-        obj = [c if rng.random() < 0.5 else F(0) for c in obj]
-        out = solve_raw(cons, [0] * n, "min", [0] * len(cons))
-        if out.status == INFEASIBLE:
-            assert solve_raw(cons, obj, sense).status == INFEASIBLE
-            seen["infeasible"] += 1
-            continue
-        face = list(cons)
-        for level in range(3):
-            if level:
-                obj = [_rat(rng, -2, 2) if rng.random() < 0.5 else F(0) for _ in range(n)]
-                sense = rng.choice(("min", "max"))
-            again = reoptimize(out, obj, sense)
-            cold = solve_raw(face, obj, sense)
-            assert (again.status, again.value) == (cold.status, cold.value)
-            _assert_certified(again, face, obj, sense)
-            seen[level, again.status] += 1
-            if again.status != OPTIMAL:
-                break
-            face += [(obj, again.value), ([-c for c in obj], -again.value)]
-            out = again
-    assert seen == {"infeasible": 62, (0, OPTIMAL): 261, (0, UNBOUNDED): 77,
-                    (1, OPTIMAL): 233, (1, UNBOUNDED): 28,
-                    (2, OPTIMAL): 221, (2, UNBOUNDED): 12}
-
-
-def test_reoptimize_needs_a_kept_tableau():
-    # every optimal outcome keeps its tableau, a solve without a direction
-    # included: re-optimising it matches a cold solve with the first
-    # objective pinned to its optimum
-    out = solve_raw([([1, 0], 1), ([0, 1], 0), ([-1, -1], -3)], [1, 0], "min")
-    again = reoptimize(out, [0, 1], "max")
-    cold = solve_raw([([1, 0], 1), ([0, 1], 0), ([-1, -1], -3), ([1, 0], 1), ([-1, 0], -1)],
-                     [0, 1], "max")
-    assert (again.status, again.value, again.witness) == (OPTIMAL, 2, (1, 2))
-    assert (again.status, again.value, again.witness) == (cold.status, cold.value, cold.witness)
-    # infeasible and unbounded outcomes keep none
-    for out in (solve_raw([([1], 1), ([-1], 0)], [1], "min"),
-                solve_raw([([1], 0)], [-1], "min")):
-        assert out.status in (INFEASIBLE, UNBOUNDED)
-        with pytest.raises(ValueError):
-            reoptimize(out, [1], "max")
-
-
 # The certificate checks read the constraints as integer rows; their
 # verdicts must be those of the rational definitions, on true certificates
 # and on perturbed ones.
@@ -462,7 +389,7 @@ def test_kept_tableau_has_no_artificial_block():
         out = solve_raw(cons, obj, sense, d)
         if out.status != OPTIMAL:
             continue
-        outs = [out, reoptimize(out, [0] * len(obj))]
+        outs = [out, solve_raw(cons, [0] * len(obj), "min", d)]
         _, hi = _validity(out.basic)
         if hi is not None:
             outs.append(continue_along(out, hi))
@@ -502,33 +429,5 @@ def test_corrupted_tableau_fails_its_witness_check():
     bad = _rhs_moved(out)
     with pytest.raises(ConsistencyError, match="violates a constraint"):
         continue_along(bad, 0)
-    with pytest.raises(ConsistencyError, match="violates a constraint"):
-        reoptimize(bad, [0, 0])
     # the untouched outcome still reads its point
-    assert continue_along(out, 0).witness == reoptimize(out, [0, 0]).witness == (0, 0)
-
-
-def test_tampered_value_fails_the_face_check():
-    out = _box_outcome()
-    assert reoptimize(out, [1, -1], "max").value == 0
-    with pytest.raises(ConsistencyError, match="leaves the optimal face"):
-        reoptimize(replace(out, value=out.value + 1), [1, -1], "max")
-    # min x over x >= 0, y free: the face x = 0 holds the ray (0, -1) of
-    # min y; read against a tampered cost, that ray leaves the face
-    out = solve_raw([([1, 0], 0)], [1, 0], "min")
-    assert reoptimize(out, [0, 1], "min").certificate == (0, -1)
-    tampered = replace(out, tableau=out.tableau._replace(cost=[1, 1]))
-    with pytest.raises(ConsistencyError, match="ray leaves the optimal face"):
-        reoptimize(tampered, [0, 1], "min")
-
-
-def test_reoptimize_refuses_an_outcome_read_past_its_rhs():
-    # the ratio tests of a re-optimisation read the solve's rhs column, so
-    # a continuation read at s != 0 is refused; one at s = 0 is not
-    out = solve_raw([([1], 0), ([-1], -1)], [0], "min", [1, 0])
-    assert continue_along(out, 0).s == 0
-    assert reoptimize(continue_along(out, 0), [1], "min").value == 0
-    moved = continue_along(out, F(1, 2))
-    assert (moved.status, moved.s) == (OPTIMAL, F(1, 2))
-    with pytest.raises(ValueError):
-        reoptimize(moved, [1], "min")
+    assert continue_along(out, 0).witness == (0, 0)
